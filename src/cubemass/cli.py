@@ -57,7 +57,7 @@ def dumps(obj, indent=0) -> str:
         return "null"
     if isinstance(obj, float):
         if obj != obj or obj in (float("inf"), float("-inf")):
-            raise ValidationError("non-finite number in report")
+            raise DomainError("non-finite number in report")
         return format(obj, ".17g")
     if isinstance(obj, int):
         return str(obj)
@@ -266,9 +266,6 @@ def _add_common(p: argparse.ArgumentParser, ladder: bool):
                    help="ADM flux measure policy (other estimators fix their own)")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=0,
-                   help="reserved; evaluation is vectorized and deterministic "
-                        "for any value")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -182,13 +182,27 @@ def edge_deficit_sums(model: MetricModel, L: float,
 # slice defects (shared by the slicing estimators)
 # ---------------------------------------------------------------------------
 
-def _corner_points(axis: int, t: float, L: float) -> np.ndarray:
+def _corner_points(axis: int, t, L: float) -> np.ndarray:
+    """Corners of the slice squares at levels t: (4,) + shape(t) + (3,).
+
+    In the counterclockwise order that ``geom.turning_angles`` expects.
+    """
     i, j = (a for a in range(3) if a != axis)
-    pts = np.zeros((4, 3))
-    pts[:, axis] = t
-    pts[:, i] = (L, -L, -L, L)
-    pts[:, j] = (L, L, -L, -L)
+    t = np.asarray(t, dtype=float)
+    pts = np.empty((4,) + t.shape + (3,))
+    pts[..., axis] = t
+    for c, (xi, xj) in enumerate(((L, L), (-L, L), (-L, -L), (L, -L))):
+        pts[c, ..., i] = xi
+        pts[c, ..., j] = xj
     return pts
+
+
+def _turning_total(model, axis, t, L):
+    """Sum of the four corner turning angles of the slice squares at levels t."""
+    jets = metric_jet(model, _corner_points(axis, t, L))
+    corner_jets = [geom.MetricJet2(jets.g[c], jets.dg[c], jets.ddg[c])
+                   for c in range(4)]
+    return geom.turning_angles(corner_jets, axis, t).beta_total
 
 
 def _kappa_integrand(axis: int):
@@ -200,20 +214,55 @@ def _kappa_integrand(axis: int):
 def slice_defect(model: MetricModel, axis: int, t: float, L: float,
                  spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Angle defect 2 pi - (corner turning angles) - (geodesic curvature)
-    of the slice square {x^axis = t} on the cube boundary."""
-    pts = _corner_points(axis, t, L)
-    jets = metric_jet(model, pts)
-    corner_jets = [geom.MetricJet2(jets.g[c], jets.dg[c], jets.ddg[c])
-                   for c in range(4)]
-    angles = geom.turning_angles(corner_jets, axis, t)
+    of the slice square {x^axis = t} on the cube boundary.
+
+    The per-level diagnostic; the estimators integrate the same defect
+    over all levels at once in ``_slice_term``.
+    """
+    beta_total = _turning_total(model, axis, t, L)
     kappa_int = quad.integrate_slice_curve(model, axis, t, L,
                                            _kappa_integrand(axis), "g", spec)
-    return 2.0 * math.pi - float(angles.beta_total) - kappa_int
+    return 2.0 * math.pi - float(beta_total) - kappa_int
+
+
+def _level_blocks(levels: int, nodes_per_level: int, cap: int):
+    """Runs of whole levels holding at most cap nodes (at least one level)."""
+    step = max(1, cap // nodes_per_level)
+    return [slice(k, k + step) for k in range(0, levels, step)]
 
 
 def _slice_term(model, axis, L, spec):
-    return quad.integrate_slices(
-        model, axis, L, lambda t: slice_defect(model, axis, t, L, spec), spec)
+    """Integral over t in [-L, L] of the slice defect, in face and edge form.
+
+    By Fubini, Int [2 pi - beta(t) - Int kappa ds] dt is 2 pi times the
+    slice interval, minus the corner turning angles integrated along the
+    four cube edges parallel to the axis, minus kappa * sqrt(g_dd)
+    integrated over the four side faces on the (slice level, curve node)
+    tensor grid.  Jets are evaluated in blocks of whole levels of at most
+    face_order**2 nodes, the size of one face batch elsewhere.
+    """
+    quad.require_cube(model, L)
+    t, wt = quad.gauss_nodes(spec.slice_order, -L, L)
+    s, ws = quad.gauss_nodes(spec.curve_order, -L, L)
+    cap = spec.face_order ** 2
+    beta = np.concatenate([_turning_total(model, axis, t[b], L)
+                           for b in _level_blocks(len(t), 4, cap)])
+    kappa = np.zeros(len(t))
+    for face in geom.FACES:
+        if face.axis == axis:
+            continue
+        d = 3 - axis - face.axis
+        for b in _level_blocks(len(t), len(s), cap):
+            pts = np.empty((len(t[b]), len(s), 3))
+            pts[..., axis] = t[b, None]
+            pts[..., face.axis] = face.sign * L
+            pts[..., d] = s
+            jets = metric_jet(model, pts)
+            frame = geom.curve_frame(jets, axis, face, pts)
+            kappa[b] += (frame.kappa * np.sqrt(jets.g[..., d, d])) @ ws
+    # combine per level first: the three terms are O(L) each while the
+    # defect is O(m), so summing them separately loses digits
+    return float(wt @ (2.0 * math.pi - beta - kappa))
 
 
 def gauss_bonnet_slice_mass(model: MetricModel, L: float,

@@ -37,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr
-from .errors import NotPositiveDefinite, OutsideDomain, ValidationError
+from .errors import DomainError, NotPositiveDefinite, OutsideDomain, ValidationError
 from .expr import Expression, ScalarJet2
 
 MODEL_KINDS = ("flat", "conformal", "diffeo_pullback_flat", "composed", "expression")
@@ -326,6 +326,8 @@ def metric_jet(model: MetricModel, points) -> MetricJet2:
             f"point at radius {float(np.min(radii)):.6g} is inside "
             f"inner_radius={model.inner_radius:.6g}")
     g, dg, ddg = model._jets(pts)
+    if not (np.isfinite(g).all() and np.isfinite(dg).all() and np.isfinite(ddg).all()):
+        raise DomainError("metric jet is not finite on the sample")
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:

@@ -60,7 +60,9 @@ def gauss_nodes(n: int, a: float, b: float):
     return mid + half * x, half * w
 
 
-def _require_cube(model: MetricModel, L: float) -> None:
+def require_cube(model: MetricModel, L: float) -> None:
+    """Reject a cube half-side that is not positive or reaches into the
+    model's excluded core (L < 2 * inner_radius)."""
     if not np.isfinite(L) or L <= 0.0:
         raise OutsideDomain(f"cube half-side must be positive, got {L}")
     if L < 2.0 * model.inner_radius:
@@ -145,7 +147,7 @@ def integrate_face(model: MetricModel, face: geom.FaceId, L: float, f,
                    measure: str = "g", spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Integral of f over one face; f(points, jets) -> values per node."""
     _measure_ok(measure)
-    _require_cube(model, L)
+    require_cube(model, L)
     pts, w = face_points(face, L, spec)
     jets = metric_jet(model, pts)
     vals = np.asarray(f(pts, jets), dtype=float)
@@ -163,7 +165,7 @@ def integrate_edges(model: MetricModel, L: float, f, measure: str = "g",
     caller, not here.
     """
     _measure_ok(measure)
-    _require_cube(model, L)
+    require_cube(model, L)
     total = 0.0
     for edge in geom.EDGES:
         total += integrate_edge(model, edge, L, f, measure, spec)
@@ -173,7 +175,7 @@ def integrate_edges(model: MetricModel, L: float, f, measure: str = "g",
 def integrate_edge(model: MetricModel, edge: geom.EdgeId, L: float, f,
                    measure: str = "g", spec: QuadratureSpec = QuadratureSpec()) -> float:
     _measure_ok(measure)
-    _require_cube(model, L)
+    require_cube(model, L)
     pts, w = edge_points(edge, L, spec)
     jets = metric_jet(model, pts)
     vals = np.asarray(f(pts, jets, edge), dtype=float)
@@ -192,7 +194,7 @@ def integrate_slice_curve(model: MetricModel, axis: int, t: float, L: float, f,
     f(points, jets, face) -> values per node.
     """
     _measure_ok(measure)
-    _require_cube(model, L)
+    require_cube(model, L)
     if not -L <= t <= L:
         raise OutsideDomain(f"slice level {t} outside [-L, L]")
     total = 0.0
@@ -209,7 +211,7 @@ def integrate_slice_curve(model: MetricModel, axis: int, t: float, L: float, f,
 def integrate_slices(model: MetricModel, axis: int, L: float, F,
                      spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Outer rule over the slice level t in [-L, L]; F(t) -> value."""
-    _require_cube(model, L)
+    require_cube(model, L)
     t_nodes, w = gauss_nodes(spec.slice_order, -L, L)
     total = 0.0
     for t, wt in zip(t_nodes, w):

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from cubemass import cli
+from cubemass.errors import DomainError
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +147,30 @@ def test_non_positive_definite_file_model_is_numeric_failure(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "estimate", "--metric", f"file:{path}",
                          "--method", "adm", "--L", "10")
     assert code == 3
+
+
+def test_overflowing_file_model_is_numeric_failure(tmp_path, capsys):
+    # exp(r - 700) overflows on the L = 2000 cube: the jets are not finite
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"kind": "conformal", "tau": 1, "inner_radius": 1,
+                                "params": {"factor": "1 + exp(r - 700)"}}))
+    code, out, err = run_cli(capsys, "estimate", "--metric", f"file:{path}",
+                             "--method", "adm", "--L", "2000")
+    assert code == 3
+    assert "numeric failure" in err
+    assert out == ""
+
+
+def test_non_finite_report_value_is_numeric_failure():
+    with pytest.raises(DomainError):
+        cli.dumps({"value": float("nan")})
+
+
+def test_threads_flag_is_rejected(capsys):
+    code, _, err = run_cli(capsys, "estimate", "--metric", "flat", "--method", "adm",
+                           "--L", "10", "--threads", "2")
+    assert code == 2
+    assert "--threads" in err
 
 
 # ---------------------------------------------------------------------------

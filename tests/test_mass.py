@@ -143,6 +143,45 @@ def test_gauss_bonnet_flat_slice_defect_identically_zero():
         assert mass.slice_defect(FLAT, 1, t, 10.0, SPEC) == 0.0
 
 
+#: curve_order != slice_order, so a swapped (level, curve node) grid fails;
+#: face_order 6 caps jet calls at 36 nodes, so levels come in uneven blocks
+SLICE_SPEC = QuadratureSpec(face_order=6, curve_order=8, slice_order=12)
+
+
+@pytest.mark.parametrize("model", [SCH, metric.pullback_model(0.75),
+                                   metric.composed_model()],
+                         ids=["schwarzschild", "pullback", "composed"])
+def test_slice_term_equals_per_level_integral(model):
+    L, spec = 37.0, SLICE_SPEC
+    for axis in range(3):
+        per_level = quad.integrate_slices(
+            model, axis, L, lambda t: mass.slice_defect(model, axis, t, L, spec), spec)
+        term = mass._slice_term(model, axis, L, spec)
+        assert abs(term - per_level) <= 1e-12 * max(1.0, abs(per_level))
+
+
+# default: 3 axes x (4 faces x 2 level blocks + 1 corner call);
+# SLICE_SPEC: 3 axes x (4 faces x 3 level blocks + 2 corner calls)
+@pytest.mark.parametrize("spec, calls", [(SPEC, 27), (SLICE_SPEC, 42)])
+def test_gauss_bonnet_jet_batches(monkeypatch, spec, calls):
+    sizes = []
+
+    def counting_jet(model, points):
+        sizes.append(np.asarray(points).size // 3)
+        return metric.metric_jet(model, points)
+
+    monkeypatch.setattr(mass, "metric_jet", counting_jet)
+    mass.gauss_bonnet_slice_mass(SCH, 50.0, spec)
+    assert len(sizes) == calls
+    assert max(sizes) <= spec.face_order ** 2
+
+
+def test_slice_term_rejects_small_cube():
+    from cubemass.errors import OutsideDomain
+    with pytest.raises(OutsideDomain):
+        mass.gauss_bonnet_slice_mass(SCH, 1.5, SPEC)
+
+
 def test_gauss_bonnet_schwarzschild():
     est50 = mass.gauss_bonnet_slice_mass(SCH, 50.0, SPEC)
     est100 = mass.gauss_bonnet_slice_mass(SCH, 100.0, SPEC)
