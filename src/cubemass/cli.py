@@ -246,11 +246,17 @@ def cmd_check(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, ladder: bool):
+def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--metric", help="flat|schwarzschild|conformal|pullback|file:<path>")
     p.add_argument("--mass", type=float,
                    help="mass for schwarzschild; amplitude for conformal/pullback")
     p.add_argument("--tau", type=float, help="falloff rate for conformal/pullback")
+    p.add_argument("--out", help="write the JSON report here instead of stdout")
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _add_estimator(p: argparse.ArgumentParser, ladder: bool):
+    _add_common(p)
     p.add_argument("--method", choices=sorted(_METHOD_FLAGS), default="adm")
     p.add_argument("--axis", type=int, choices=(1, 2, 3),
                    help="direction for bkks/bartnik")
@@ -264,8 +270,6 @@ def _add_common(p: argparse.ArgumentParser, ladder: bool):
     p.add_argument("--slice-order", type=int, default=48, dest="slice_order")
     p.add_argument("--measure", choices=("g", "euclidean"), default="euclidean",
                    help="ADM flux measure policy (other estimators fix their own)")
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,15 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_est = sub.add_parser("estimate", help="run one estimator at one cube size")
-    _add_common(p_est, ladder=False)
+    _add_estimator(p_est, ladder=False)
     p_est.set_defaults(handler=cmd_estimate)
 
     p_conv = sub.add_parser("converge", help="ladder of cube sizes plus rate fit")
-    _add_common(p_conv, ladder=True)
+    _add_estimator(p_conv, ladder=True)
     p_conv.set_defaults(handler=cmd_converge)
 
     p_stern = sub.add_parser("stern", help="survey the harmonic level-set identity")
-    _add_common(p_stern, ladder=False)
+    _add_common(p_stern)
     p_stern.add_argument("--harmonic", choices=sorted(_HARMONIC_FLAGS),
                          default="monopole")
     p_stern.add_argument("--samples", type=int, default=1000)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateGradient, NotPositiveDefinite
+from .errors import DegenerateGradient
 from .expr import ScalarJet2
 from .metric import MetricJet2
 
@@ -124,13 +124,6 @@ class TurningAngleSet:
 # basics
 # ---------------------------------------------------------------------------
 
-def _check_spd(g: np.ndarray) -> None:
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("metric is not positive definite") from None
-
-
 def g_inner(g, u, v):
     return np.einsum("...a,...ab,...b->...", u, g, v)
 
@@ -146,9 +139,7 @@ def stable_angle(g, u, v):
 
 def inverse_and_christoffel(jet: MetricJet2):
     """Inverse metric and Christoffel symbols Gamma[..., k, i, j] = Gamma^k_ij."""
-    _check_spd(jet.g)
-    ginv = np.linalg.inv(jet.g)
-    dg = jet.dg
+    ginv, dg = jet.ginv, jet.dg
     t1 = np.einsum("...km,...jmi->...kij", ginv, dg)
     t2 = np.einsum("...km,...imj->...kij", ginv, dg)
     t3 = np.einsum("...km,...mij->...kij", ginv, dg)
@@ -193,11 +184,8 @@ def area_density(jet: MetricJet2, axis: int):
 
 def face_normal(jet: MetricJet2, face: FaceId):
     """Outward unit normal (contravariant components) of a cube face."""
-    _check_spd(jet.g)
-    ginv = np.linalg.inv(jet.g)
-    i = face.axis
-    w = np.sqrt(ginv[..., i, i])
-    return face.sign * ginv[..., i, :] / w[..., None]
+    row = jet.ginv[..., face.axis, :]
+    return face.sign * row / np.sqrt(row[..., face.axis])[..., None]
 
 
 def face_frame(jet: MetricJet2, face: FaceId, points) -> FaceFrame:
@@ -208,13 +196,11 @@ def face_frame(jet: MetricJet2, face: FaceId, points) -> FaceFrame:
     flat round sphere has H = +2/rho under this convention, so cube
     faces in a positive-mass metric come out slightly negative.
     """
-    _check_spd(jet.g)
-    ginv = np.linalg.inv(jet.g)
-    dg = jet.dg
+    ginv, dg = jet.ginv, jet.dg
     i, s = face.axis, face.sign
     dginv = inverse_metric_derivative(ginv, dg)
     w = np.sqrt(ginv[..., i, i])
-    nu = s * ginv[..., i, :] / w[..., None]
+    nu = face_normal(jet, face)
     dw = dginv[..., :, i, i] / (2.0 * w[..., None])
     div_flat = s * (np.einsum("...aa->...", dginv[..., :, i, :]) / w
                     - np.einsum("...a,...a->...", ginv[..., i, :], dw) / (w * w))
@@ -229,13 +215,9 @@ def face_frame(jet: MetricJet2, face: FaceId, points) -> FaceFrame:
 # ---------------------------------------------------------------------------
 
 def edge_frame(jet: MetricJet2, edge: EdgeId, points) -> EdgeFrame:
-    _check_spd(jet.g)
-    ginv = np.linalg.inv(jet.g)
-    n = []
-    for axis, sign in ((edge.axis_a, edge.sign_a), (edge.axis_b, edge.sign_b)):
-        w = np.sqrt(ginv[..., axis, axis])
-        n.append(sign * ginv[..., axis, :] / w[..., None])
-    theta = stable_angle(jet.g, n[0], n[1])
+    n_a = face_normal(jet, FaceId(edge.axis_a, edge.sign_a))
+    n_b = face_normal(jet, FaceId(edge.axis_b, edge.sign_b))
+    theta = stable_angle(jet.g, n_a, n_b)
     k = edge.direction
     return EdgeFrame(point=np.asarray(points, dtype=float), theta=theta,
                      alpha=math.pi - theta,
@@ -311,7 +293,7 @@ def turning_angles(corner_jets: Sequence[MetricJet2], axis: int,
         raise ValueError("turning_angles needs jets at the four corners")
     betas = []
     for jet, ((d_in, s_in), (d_out, s_out)) in zip(corner_jets, legs):
-        _check_spd(jet.g)
+        jet.ginv  # raises NotPositiveDefinite, like every other frame
         t_in = _corner_tangent(jet.g, d_in, s_in)
         t_out = _corner_tangent(jet.g, d_out, s_out)
         betas.append(stable_angle(jet.g, t_in, t_out))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom, quad
-from .errors import ValidationError
+from .errors import OutsideDomain, ValidationError
 from .metric import MetricModel, metric_jet
 from .quad import QuadratureSpec
 
@@ -93,8 +93,9 @@ def adm_flux_cube(model: MetricModel, L: float,
 def adm_flux_sphere(model: MetricModel, radius: float,
                     angular_order: int = 64) -> MassEstimate:
     """Same flux over a coordinate sphere; the cross-estimator reference."""
-    if radius < model.inner_radius:
-        raise ValidationError("sphere radius must be at least inner_radius")
+    if not (math.isfinite(radius) and radius > 0.0 and radius >= model.inner_radius):
+        raise OutsideDomain(f"sphere radius {radius} must be finite, positive and at "
+                            f"least inner_radius = {model.inner_radius}")
     pts, w, normals = quad.sphere_points(radius, angular_order)
     jets = metric_jet(model, pts)
     vals = 0.0

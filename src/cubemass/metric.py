@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -59,6 +60,16 @@ class MetricJet2:
     g: np.ndarray
     dg: np.ndarray
     ddg: np.ndarray
+
+    @cached_property
+    def ginv(self) -> np.ndarray:
+        """Inverse metric, computed once after checking that ``g`` is SPD."""
+        try:
+            np.linalg.cholesky(self.g)
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefinite(
+                "metric is not positive definite on the sample") from None
+        return np.linalg.inv(self.g)
 
 
 @dataclass
@@ -325,14 +336,13 @@ def metric_jet(model: MetricModel, points) -> MetricJet2:
         raise OutsideDomain(
             f"point at radius {float(np.min(radii)):.6g} is inside "
             f"inner_radius={model.inner_radius:.6g}")
-    g, dg, ddg = model._jets(pts)
+    with np.errstate(all="ignore"):
+        g, dg, ddg = model._jets(pts)
     if not (np.isfinite(g).all() and np.isfinite(dg).all() and np.isfinite(ddg).all()):
         raise DomainError("metric jet is not finite on the sample")
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("metric is not positive definite on the sample") from None
-    return MetricJet2(g, dg, ddg)
+    jet = MetricJet2(g, dg, ddg)
+    jet.ginv  # a metric that is not SPD fails here, at evaluation
+    return jet
 
 
 # ---------------------------------------------------------------------------

@@ -149,15 +149,27 @@ def test_non_positive_definite_file_model_is_numeric_failure(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_file_model_is_numeric_failure(tmp_path, capsys):
-    # exp(r - 700) overflows on the L = 2000 cube: the jets are not finite
+    # exp(r - 700) overflows on the L = 2000 cube: the jets are not finite,
+    # and the user sees one error line, not numpy's overflow warnings
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"kind": "conformal", "tau": 1, "inner_radius": 1,
                                 "params": {"factor": "1 + exp(r - 700)"}}))
     code, out, err = run_cli(capsys, "estimate", "--metric", f"file:{path}",
                              "--method", "adm", "--L", "2000")
     assert code == 3
-    assert "numeric failure" in err
+    assert err.startswith("numeric failure") and len(err.splitlines()) == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("radius", ["0.5", "nan"])
+def test_sphere_outside_chart_is_numeric_failure(capsys, radius):
+    # schwarzschild has inner_radius 1, like the cube case --method adm --L 1.5
+    code, out, err = run_cli(capsys, "estimate", "--metric", "schwarzschild",
+                             "--method", "adm-sphere", "--L", radius)
+    assert code == 3
+    assert err.startswith("numeric failure: sphere radius")
     assert out == ""
 
 
@@ -220,6 +232,12 @@ def test_stern_pairing_enforced(capsys):
     code, _, _ = run_cli(capsys, "stern", "--metric", "schwarzschild",
                          "--harmonic", "monopole")
     assert code == 2
+
+
+def test_stern_rejects_estimator_flags(capsys):
+    code, _, err = run_cli(capsys, "stern", "--metric", "flat", "--L", "10")
+    assert code == 2
+    assert "--L" in err
 
 
 def test_stern_deterministic_output(capsys):

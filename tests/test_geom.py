@@ -43,10 +43,24 @@ def test_offdiagonal_inverse_first_order():
         assert abs(ginv[0, 1] + eps) <= 2.0 * eps ** 2
 
 
-def test_christoffel_not_positive_definite():
-    bad = constant_metric(np.diag([1.0, -1.0, 1.0]))
+INDEFINITE = constant_metric(np.diag([1.0, -1.0, 1.0]))
+ORIGIN = np.zeros(3)
+FRAME_CALLS = {
+    "inverse_and_christoffel": lambda jet: geom.inverse_and_christoffel(jet),
+    "face_normal": lambda jet: geom.face_normal(jet, geom.FACES[0]),
+    "face_frame": lambda jet: geom.face_frame(jet, geom.FACES[0], ORIGIN),
+    "edge_frame": lambda jet: geom.edge_frame(jet, geom.EDGES[0], ORIGIN),
+    "curve_frame": lambda jet: geom.curve_frame(jet, 2, geom.FACES[0], ORIGIN),
+    "coordinate_gradient_jet": lambda jet: geom.coordinate_gradient_jet(jet, 0),
+    "curvature": lambda jet: geom.curvature(jet),
+    "turning_angles": lambda jet: geom.turning_angles([jet] * 4, 2, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", FRAME_CALLS)
+def test_every_frame_rejects_an_indefinite_metric(name):
     with pytest.raises(NotPositiveDefinite):
-        geom.inverse_and_christoffel(bad)
+        FRAME_CALLS[name](INDEFINITE)
 
 
 def test_schwarzschild_christoffel_closed_form():

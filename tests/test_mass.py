@@ -176,6 +176,25 @@ def test_gauss_bonnet_jet_batches(monkeypatch, spec, calls):
     assert max(sizes) <= spec.face_order ** 2
 
 
+@pytest.mark.parametrize("estimator", [mass.gromov_cube_mass, mass.bartnik_sum_mass])
+def test_metric_checked_and_inverted_once_per_jet(monkeypatch, estimator):
+    counts = {"metric_jet": 0, "cholesky": 0, "inv": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (quad, mass):
+        monkeypatch.setattr(module, "metric_jet", counting("metric_jet", metric.metric_jet))
+    monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
+    monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
+    estimator(SCH, 20.0, QuadratureSpec(face_order=4, edge_order=4))
+    assert counts["metric_jet"] > 0
+    assert counts["cholesky"] == counts["inv"] == counts["metric_jet"]
+
+
 def test_slice_term_rejects_small_cube():
     from cubemass.errors import OutsideDomain
     with pytest.raises(OutsideDomain):
