@@ -9,11 +9,15 @@ first and second coordinate derivatives the curvature kernel needs --
 no numerical differentiation anywhere.
 
 All jet arithmetic broadcasts over a leading batch of points, which is
-what makes quadrature over thousands of nodes cheap.
+what makes quadrature over thousands of nodes cheap.  Expressions are
+evaluated by a :class:`JetProgram`: the expressions of one model compile
+once into a flat, hash-consed instruction list, so a subexpression shared
+between components (``r`` above all) is evaluated once per batch.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -435,7 +439,7 @@ def to_source(e: Expression) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: expressions compiled into one hash-consed jet program
 # ---------------------------------------------------------------------------
 
 def _literal_value(e: Expression):
@@ -448,41 +452,95 @@ def _literal_value(e: Expression):
     return None
 
 
+class JetProgram:
+    """Straight-line jet evaluation of several expressions at once.
+
+    Structurally equal subtrees of all roots compile to one instruction,
+    so each distinct subexpression (``r`` above all) is evaluated once
+    per batch.  Instructions are in the post-order of evaluating the
+    roots one after another, and each applies the same jet primitive the
+    tree walk would, so values are bitwise those of evaluating every
+    root alone and the first ``DomainError`` carries the same located
+    message.  An intermediate jet is dropped after its last consumer.
+    Calling the program returns one jet per root; roots that are equal
+    share one jet, so treat the results as read-only.
+    """
+
+    def __init__(self, roots):
+        self._code = []      # (fn(points, *argument jets), argument slots)
+        self._slots = {}     # structural key -> slot
+        self._roots = [self._emit(root) for root in roots]
+        last_use = {arg: k for k, (_, args) in enumerate(self._code) for arg in args}
+        dead = [[] for _ in self._code]
+        for slot, k in last_use.items():
+            if slot not in self._roots:
+                dead[k].append(slot)
+        self._code = [(fn, args, tuple(free))
+                      for (fn, args), free in zip(self._code, dead)]
+        del self._slots
+
+    def __len__(self) -> int:
+        return len(self._code)
+
+    def __call__(self, points) -> list:
+        pts = np.asarray(points, dtype=float)
+        if pts.shape[-1] != 3:
+            raise ValueError("points must have a trailing axis of length 3")
+        jets = [None] * len(self._code)
+        for k, (fn, args, free) in enumerate(self._code):
+            jets[k] = fn(pts, *[jets[a] for a in args])
+            for slot in free:
+                jets[slot] = None
+        return [jets[slot] for slot in self._roots]
+
+    def _push(self, op, fn, *args) -> int:
+        key = (op, args)
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = len(self._code)
+            self._code.append((fn, args))
+        return slot
+
+    def _emit(self, e: Expression) -> int:
+        if isinstance(e, Num):
+            # keyed by the bits, so that 0.0 and -0.0 stay distinct
+            c = float(e.value)
+            return self._push(("num", c.hex()),
+                              lambda pts: jet_constant(c, pts.shape[:-1]))
+        if isinstance(e, Var):
+            if e.name == "r":
+                return self._push("r", lambda pts: _in_context(e, radius_jet, pts))
+            axis = _AXIS_NAMES.index(e.name)
+            return self._push(e.name, lambda pts: coordinate_jet(pts, axis))
+        if isinstance(e, Neg):
+            return self._push("neg", lambda pts, u: -u, self._emit(e.operand))
+        if isinstance(e, Call):
+            f = _FUNCTION_JETS[e.func]
+            return self._push(e.func, lambda pts, u: _in_context(e, f, u),
+                              self._emit(e.arg))
+        left = self._emit(e.left)
+        if e.op == "^":
+            # literal exponents keep integer powers valid for negative bases
+            lit = _literal_value(e.right)
+            if lit is not None:
+                p = float(lit)
+                return self._push(("^", p.hex()),
+                                  lambda pts, u: _in_context(e, operator.pow, u, p), left)
+            fn = lambda pts, u, v: _in_context(e, jet_pow, u, v)
+        elif e.op == "/":
+            fn = lambda pts, u, v: _in_context(e, operator.truediv, u, v)
+        else:
+            fn = _ARITHMETIC[e.op]
+        return self._push(e.op, fn, left, self._emit(e.right))
+
+
+_ARITHMETIC = {"+": lambda pts, u, v: u + v, "-": lambda pts, u, v: u - v,
+               "*": lambda pts, u, v: u * v}
+
+
 def eval_jet2(e: Expression, points) -> ScalarJet2:
     """Evaluate ``e`` and its exact gradient/Hessian at ``points`` (..., 3)."""
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[-1] != 3:
-        raise ValueError("points must have a trailing axis of length 3")
-    return _eval(e, pts)
-
-
-def _eval(e: Expression, pts: np.ndarray) -> ScalarJet2:
-    batch = pts.shape[:-1]
-    if isinstance(e, Num):
-        return jet_constant(e.value, batch)
-    if isinstance(e, Var):
-        if e.name == "r":
-            return _in_context(e, radius_jet, pts)
-        return coordinate_jet(pts, _AXIS_NAMES.index(e.name))
-    if isinstance(e, Neg):
-        return -_eval(e.operand, pts)
-    if isinstance(e, Call):
-        arg = _eval(e.arg, pts)
-        return _in_context(e, _FUNCTION_JETS[e.func], arg)
-    left = _eval(e.left, pts)
-    if e.op == "+":
-        return left + _eval(e.right, pts)
-    if e.op == "-":
-        return left - _eval(e.right, pts)
-    if e.op == "*":
-        return left * _eval(e.right, pts)
-    if e.op == "/":
-        return _in_context(e, lambda l: l / _eval(e.right, pts), left)
-    # '^': literal exponents keep integer powers valid for negative bases
-    lit = _literal_value(e.right)
-    if lit is not None:
-        return _in_context(e, lambda l: l ** lit, left)
-    return _in_context(e, lambda l: jet_pow(l, _eval(e.right, pts)), left)
+    return JetProgram([e])(points)[0]
 
 
 def _in_context(node, fn, *args):

@@ -139,11 +139,7 @@ def stable_angle(g, u, v):
 
 def inverse_and_christoffel(jet: MetricJet2):
     """Inverse metric and Christoffel symbols Gamma[..., k, i, j] = Gamma^k_ij."""
-    ginv, dg = jet.ginv, jet.dg
-    t1 = np.einsum("...km,...jmi->...kij", ginv, dg)
-    t2 = np.einsum("...km,...imj->...kij", ginv, dg)
-    t3 = np.einsum("...km,...mij->...kij", ginv, dg)
-    return ginv, 0.5 * (t1 + t2 - t3)
+    return jet.ginv, jet.christoffel
 
 
 def inverse_metric_derivative(ginv, dg):

@@ -201,9 +201,7 @@ def _corner_points(axis: int, t, L: float) -> np.ndarray:
 def _turning_total(model, axis, t, L):
     """Sum of the four corner turning angles of the slice squares at levels t."""
     jets = metric_jet(model, _corner_points(axis, t, L))
-    corner_jets = [geom.MetricJet2(jets.g[c], jets.dg[c], jets.ddg[c])
-                   for c in range(4)]
-    return geom.turning_angles(corner_jets, axis, t).beta_total
+    return geom.turning_angles([jets[c] for c in range(4)], axis, t).beta_total
 
 
 def _kappa_integrand(axis: int):

@@ -23,7 +23,8 @@ with their exact first and second coordinate derivatives (a
 Jets for the pullback kinds are assembled from symbolically
 differentiated displacement Jacobians evaluated through the jet
 algebra, so ``dg`` and ``ddg`` are exact to roundoff; nothing is ever
-finite-differenced.
+finite-differenced.  Each expression-based model compiles all its
+expressions once, at construction, into one :class:`expr.JetProgram`.
 """
 
 from __future__ import annotations
@@ -70,6 +71,22 @@ class MetricJet2:
             raise NotPositiveDefinite(
                 "metric is not positive definite on the sample") from None
         return np.linalg.inv(self.g)
+
+    @cached_property
+    def christoffel(self) -> np.ndarray:
+        """Christoffel symbols ``Gamma[..., k, i, j] = Gamma^k_ij``, computed once."""
+        ginv, dg = self.ginv, self.dg
+        t1 = np.einsum("...km,...jmi->...kij", ginv, dg)
+        t2 = np.einsum("...km,...imj->...kij", ginv, dg)
+        t3 = np.einsum("...km,...mij->...kij", ginv, dg)
+        return 0.5 * (t1 + t2 - t3)
+
+    def __getitem__(self, index) -> "MetricJet2":
+        """The jet at a sub-batch; it keeps the inverse if this jet has one."""
+        part = MetricJet2(self.g[index], self.dg[index], self.ddg[index])
+        if "ginv" in self.__dict__:
+            part.__dict__["ginv"] = self.ginv[index]
+        return part
 
 
 @dataclass
@@ -172,16 +189,16 @@ def _builtin_displacement(tau: float, amplitude: float, angular: float) -> list:
 
 
 def _displacement_jacobian(xi: list) -> list:
-    """ASTs of d_i xi^m via exact symbolic differentiation."""
-    return [[expr.derivative(xi[m], i) for i in range(3)] for m in range(3)]
+    """ASTs of d_i xi^m via exact symbolic differentiation, row by row."""
+    return [expr.derivative(xi[m], i) for m in range(3) for i in range(3)]
 
 
-def _pullback_gram(dxi: list, points: np.ndarray) -> dict:
-    """Component jets of (I + Dxi)^T (I + Dxi)."""
+def _pullback_gram(dxi: list) -> dict:
+    """Component jets of (I + Dxi)^T (I + Dxi) from the jets of d_i xi^m."""
     J = [[None] * 3 for _ in range(3)]
     for m in range(3):
         for i in range(3):
-            jet = expr.eval_jet2(dxi[m][i], points)
+            jet = dxi[3 * m + i]
             if m == i:
                 jet = jet + 1.0
             J[m][i] = jet
@@ -231,10 +248,10 @@ def schwarzschild_model(mass: float = 1.0, inner_radius: float | None = None) ->
 def conformal_model(factor, tau: float, inner_radius: float = 1.0,
                     exact_mass: Optional[float] = None) -> MetricModel:
     node = expr.ensure_expression(factor)
+    program = expr.JetProgram([node])
 
     def jets(points):
-        return _conformal_components(expr.eval_jet2(node, points),
-                                     points.shape[:-1])
+        return _conformal_components(program(points)[0], points.shape[:-1])
 
     return MetricModel("conformal", float(tau), float(inner_radius), exact_mass,
                        {"factor": expr.to_source(node)}, jets)
@@ -253,11 +270,10 @@ def pullback_model(tau: float = 0.75, amplitude: float = 0.4, angular: float = 0
             raise ValidationError("displacement needs exactly three components")
         params = {"xi1": expr.to_source(xi[0]), "xi2": expr.to_source(xi[1]),
                   "xi3": expr.to_source(xi[2])}
-    dxi = _displacement_jacobian(xi)
+    program = expr.JetProgram(_displacement_jacobian(xi))
 
     def jets(points):
-        batch = points.shape[:-1]
-        return _assemble_components(_pullback_gram(dxi, points), batch)
+        return _assemble_components(_pullback_gram(program(points)), points.shape[:-1])
 
     return MetricModel("diffeo_pullback_flat", float(tau), float(inner_radius),
                        0.0, params, jets)
@@ -280,15 +296,15 @@ def composed_model(mass: float = 1.0, tau_diffeo: float = 0.75, amplitude: float
         params = {"schwarzschild_mass": float(mass),
                   "xi1": expr.to_source(xi[0]), "xi2": expr.to_source(xi[1]),
                   "xi3": expr.to_source(xi[2])}
-    dxi = _displacement_jacobian(xi)
+    program = expr.JetProgram(_displacement_jacobian(xi) + xi)
     q = 0.5 * mass
 
     def jets(points):
         batch = points.shape[:-1]
-        gram = _pullback_gram(dxi, points)
+        compiled = program(points)
+        gram = _pullback_gram(compiled[:9])
         # conformal factor evaluated at the image point phi(x) = x + xi(x)
-        phi = [expr.eval_jet2(xi[m], points) + expr.coordinate_jet(points, m)
-               for m in range(3)]
+        phi = [compiled[9 + m] + expr.coordinate_jet(points, m) for m in range(3)]
         rho2 = phi[0] * phi[0] + phi[1] * phi[1] + phi[2] * phi[2]
         U = 1.0 + q / expr.jet_sqrt(rho2)
         if np.any(U.value <= 0.0):
@@ -310,12 +326,11 @@ def expression_model(components: dict, tau: float, inner_radius: float = 1.0,
             f"expression metric needs exactly {_COMPONENT_KEYS}; "
             f"missing {missing}, unknown {extra}")
     nodes = {key: expr.ensure_expression(components[key]) for key in _COMPONENT_KEYS}
+    program = expr.JetProgram(list(nodes.values()))
 
     def jets(points):
-        batch = points.shape[:-1]
-        comps = {_COMPONENT_INDEX[key]: expr.eval_jet2(node, points)
-                 for key, node in nodes.items()}
-        return _assemble_components(comps, batch)
+        comps = dict(zip((_COMPONENT_INDEX[key] for key in nodes), program(points)))
+        return _assemble_components(comps, points.shape[:-1])
 
     params = {key: expr.to_source(node) for key, node in nodes.items()}
     return MetricModel("expression", float(tau), float(inner_radius), exact_mass,

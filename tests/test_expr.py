@@ -1,9 +1,12 @@
 
+import operator
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubemass import expr
+from cubemass import expr, metric
 from cubemass.errors import DomainError, ExpressionSyntaxError, UnknownIdentifier
 
 from _oracles import random_polynomial, richardson_gradient, richardson_hessian
@@ -171,19 +174,149 @@ def _ast_strategy():
     return st.recursive(leaves, extend, max_leaves=12)
 
 
+FUZZ_POINTS = np.array([[0.7, 1.3, 2.1], [1.9, 0.4, 0.8]])
+
+
+def _bits(j):
+    return [np.asarray(a).tobytes() for a in (j.value, j.gradient, j.hessian)]
+
+
+def _outcome(evaluate):
+    """Bits of the jets, or the DomainError message.
+
+    Random trees such as exp(exp(9)) overflow to inf or nan, which both
+    sides must reproduce bit for bit, so numpy warnings are silenced.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            return [_bits(j) for j in evaluate()]
+        except DomainError as err:
+            return str(err)
+
+
 @given(_ast_strategy())
 @settings(max_examples=150, deadline=None)
 def test_print_parse_round_trip_evaluates_identically(node):
     reparsed = expr.parse(expr.to_source(node))
-    pts = np.array([[0.7, 1.3, 2.1], [1.9, 0.4, 0.8]])
-    try:
-        a = expr.eval_jet2(node, pts)
-    except DomainError:
+    a = _outcome(lambda: [expr.eval_jet2(node, FUZZ_POINTS)])
+    if isinstance(a, str):
         return  # same domain failure must occur for the reparsed tree
-    b = expr.eval_jet2(reparsed, pts)
-    assert np.array_equal(a.value, b.value)
-    assert np.array_equal(a.gradient, b.gradient)
-    assert np.array_equal(a.hessian, b.hessian)
+    assert _outcome(lambda: [expr.eval_jet2(reparsed, FUZZ_POINTS)]) == a
+
+
+# ---------------------------------------------------------------------------
+# compiled programs
+# ---------------------------------------------------------------------------
+
+def _tree_walk(e, pts):
+    """Recursive evaluation of one tree, the reference for JetProgram."""
+    if isinstance(e, expr.Num):
+        return expr.jet_constant(e.value, pts.shape[:-1])
+    if isinstance(e, expr.Var):
+        if e.name == "r":
+            return expr.radius_jet(pts)
+        return expr.coordinate_jet(pts, "xyz".index(e.name))
+    if isinstance(e, expr.Neg):
+        return -_tree_walk(e.operand, pts)
+    if isinstance(e, expr.Call):
+        return getattr(expr, f"jet_{e.func}")(_tree_walk(e.arg, pts))
+    left = _tree_walk(e.left, pts)
+    if e.op == "^":
+        lit = expr._literal_value(e.right)
+        if lit is not None:
+            return left ** lit
+        return expr.jet_pow(left, _tree_walk(e.right, pts))
+    right = _tree_walk(e.right, pts)
+    return {"+": operator.add, "-": operator.sub, "*": operator.mul,
+            "/": operator.truediv}[e.op](left, right)
+
+
+@given(_ast_strategy())
+@settings(max_examples=150, deadline=None)
+def test_program_equals_the_tree_walk(node):
+    walked = _outcome(lambda: [_tree_walk(node, FUZZ_POINTS)])
+    compiled = _outcome(lambda: expr.JetProgram([node])(FUZZ_POINTS))
+    if isinstance(walked, str):
+        # the program also names the failing subexpression
+        assert isinstance(compiled, str) and compiled.startswith(walked + " in '")
+    else:
+        assert compiled == walked
+
+
+@given(st.lists(_ast_strategy(), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_program_over_several_roots_equals_each_root_alone(roots):
+    alone = [_outcome(lambda: expr.JetProgram([e])(FUZZ_POINTS)) for e in roots]
+    together = _outcome(lambda: expr.JetProgram(roots)(FUZZ_POINTS))
+    failures = [o for o in alone if isinstance(o, str)]
+    if failures:
+        assert together == failures[0]
+    else:
+        assert together == [o[0] for o in alone]
+
+
+def test_first_failing_subtree_names_the_error():
+    # x - 100 is shared: log fails first, as in a left-to-right tree walk
+    with pytest.raises(DomainError) as err:
+        jet("log(x - 100) + sqrt(x - 100)", (50.0, 0.0, 0.0))
+    assert str(err.value) == "log of a non-positive value in 'log(x - 100.0)'"
+
+
+def test_equal_subtrees_compile_once():
+    # r, r^-0.75, x, r^-0.75*x, y, r^-0.75*y
+    program = expr.JetProgram([expr.parse("r^-0.75*x"), expr.parse("r^(-0.75)*y")])
+    assert len(program) == 6
+
+
+def test_signed_zero_literals_are_not_merged():
+    # Num(0.0) == Num(-0.0) as dataclasses; the program keys literals by bits
+    program = expr.JetProgram([expr.Num(0.0), expr.Num(-0.0)])
+    zero, negative_zero = program(FUZZ_POINTS)
+    assert len(program) == 2
+    assert not np.signbit(zero.value).any()
+    assert np.signbit(negative_zero.value).all()
+
+
+def test_intermediate_jets_are_dropped_after_their_last_use(monkeypatch):
+    refs, alive_at_sin = [], []
+
+    def radius(pts):
+        jet = expr.jet_constant(1.5, pts.shape[:-1])
+        refs.append(weakref.ref(jet))
+        return jet
+
+    def sin(u):
+        alive_at_sin.append(refs[0]() is not None)
+        return expr.jet_sin(u)
+
+    monkeypatch.setattr(expr, "radius_jet", radius)
+    monkeypatch.setitem(expr._FUNCTION_JETS, "sin", sin)
+    root, = expr.JetProgram([expr.parse("sin(exp(r))")])(FUZZ_POINTS)
+    # r's only consumer is exp, so r is gone by the time sin runs
+    assert alive_at_sin == [False]
+    assert np.array_equal(root.value, np.sin(np.exp(np.full(2, 1.5))))
+
+
+@pytest.mark.parametrize("build", [lambda: metric.pullback_model(0.75),
+                                   metric.composed_model],
+                         ids=["pullback", "composed"])
+def test_metric_jet_runs_the_compiled_program(monkeypatch, build):
+    radius_calls, derivative_calls = [], []
+    real_radius, real_derivative = expr.radius_jet, expr.derivative
+
+    def counting_derivative(e, axis):
+        derivative_calls.append(axis)
+        return real_derivative(e, axis)
+
+    monkeypatch.setattr(expr, "derivative", counting_derivative)
+    model = build()
+    assert derivative_calls  # the Jacobian is differentiated at construction
+    derivative_calls.clear()
+    monkeypatch.setattr(expr, "radius_jet",
+                        lambda pts: radius_calls.append(1) or real_radius(pts))
+    metric.metric_jet(model, np.random.default_rng(5).uniform(10.0, 50.0, (64, 3)))
+    assert len(radius_calls) == 1
+    assert derivative_calls == []
 
 
 @given(st.text(max_size=40))

@@ -164,16 +164,26 @@ def test_slice_term_equals_per_level_integral(model):
 # SLICE_SPEC: 3 axes x (4 faces x 3 level blocks + 2 corner calls)
 @pytest.mark.parametrize("spec, calls", [(SPEC, 27), (SLICE_SPEC, 42)])
 def test_gauss_bonnet_jet_batches(monkeypatch, spec, calls):
-    sizes = []
+    sizes, factorizations = [], {"cholesky": 0, "inv": 0}
 
     def counting_jet(model, points):
         sizes.append(np.asarray(points).size // 3)
         return metric.metric_jet(model, points)
 
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            factorizations[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
     monkeypatch.setattr(mass, "metric_jet", counting_jet)
+    monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
+    monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
     mass.gauss_bonnet_slice_mass(SCH, 50.0, spec)
     assert len(sizes) == calls
     assert max(sizes) <= spec.face_order ** 2
+    # the corner jets are slices of one checked batch jet: no new inversions
+    assert factorizations == {"cholesky": calls, "inv": calls}
 
 
 @pytest.mark.parametrize("estimator", [mass.gromov_cube_mass, mass.bartnik_sum_mass])

@@ -92,6 +92,28 @@ def test_schwarzschild_residual_magnitude():
     assert abs(sample.residual) <= 1e-5
 
 
+def test_christoffel_computed_once_per_jet(monkeypatch):
+    jets, gammas = [], []
+    real_jet, real_einsum = stern.metric_jet, np.einsum
+
+    def counting_jet(model, points):
+        jets.append(len(points))
+        return real_jet(model, points)
+
+    def counting_einsum(subscripts, *operands, **kwargs):
+        if subscripts == "...km,...jmi->...kij":  # first term of Gamma
+            gammas.append(subscripts)
+        return real_einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(stern, "metric_jet", counting_jet)
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    pts = np.array([[3.0, 2.0, -3.0], [4.0, 1.0, -2.0]])
+    stern.stern_residuals(SCH, stern.schwarzschild_radial(1.0), pts)
+    # the centre jet needs Gamma; the two stencil jets need only ginv
+    assert len(jets) == 3
+    assert len(gammas) == 1
+
+
 def test_degenerate_gradient():
     with pytest.raises(DegenerateGradient):
         stern.stern_residual(FLAT, stern.flat_linear((0.0, 0.0, 0.0)),
