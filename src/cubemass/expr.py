@@ -8,11 +8,13 @@ metric components written as expressions always come with the exact
 first and second coordinate derivatives the curvature kernel needs --
 no numerical differentiation anywhere.
 
-All jet arithmetic broadcasts over a leading batch of points, which is
-what makes quadrature over thousands of nodes cheap.  Expressions are
-evaluated by a :class:`JetProgram`: the expressions of one model compile
-once into a flat, hash-consed instruction list, so a subexpression shared
-between components (``r`` above all) is evaluated once per batch.
+All jet arithmetic broadcasts over a batch of points, which is what
+makes quadrature over thousands of nodes cheap; a jet keeps the batch
+axes last, so each product-rule operation loops over the batch.
+Expressions are evaluated by a :class:`JetProgram`: the expressions of
+one model compile once into a flat, hash-consed instruction list, so a
+subexpression shared between components (``r`` above all) is evaluated
+once per batch.
 """
 
 from __future__ import annotations
@@ -36,58 +38,73 @@ _AXIS_NAMES = ("x", "y", "z")
 # Second-order jets
 # ---------------------------------------------------------------------------
 
-def _b1(a):
-    return np.asarray(a)[..., None]
+def batch_last(points) -> np.ndarray:
+    """Points (..., 3) as one C-contiguous coordinate array (3, ...)."""
+    return np.ascontiguousarray(np.moveaxis(np.asarray(points, dtype=float), -1, 0))
 
 
-def _b2(a):
-    return np.asarray(a)[..., None, None]
+def identity_last(batch_ndim: int) -> np.ndarray:
+    """The 3x3 identity shaped (3, 3, 1, ...) to broadcast over a trailing batch."""
+    return np.eye(3).reshape((3, 3) + (1,) * batch_ndim)
 
 
 @dataclass
 class ScalarJet2:
     """Value, gradient and symmetric Hessian of a scalar field.
 
-    Arrays carry a common leading batch shape: ``value`` is ``(...)``,
-    ``gradient`` is ``(..., 3)`` and ``hessian`` is ``(..., 3, 3)``.
-    The arithmetic below is closed to second order and keeps the
-    Hessian exactly symmetric.
+    Derivatives are stored with the batch axes last: ``value`` is
+    ``(...)``, ``d1`` is ``(3, ...)`` and ``d2`` is ``(3, 3, ...)``, so
+    every product-rule broadcast runs over contiguous batch-length inner
+    loops.  ``gradient`` ``(..., 3)`` and ``hessian`` ``(..., 3, 3)`` are
+    C-contiguous batch-first copies of them, the layout the geometry
+    kernel reads; ``np.einsum`` sums in an order that follows the strides,
+    so a strided view would move its results in the last bit.  The
+    arithmetic below is closed to second order and keeps the Hessian
+    exactly symmetric.
     """
 
     value: np.ndarray
-    gradient: np.ndarray
-    hessian: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+
+    @property
+    def gradient(self) -> np.ndarray:
+        return np.ascontiguousarray(np.moveaxis(self.d1, 0, -1))
+
+    @property
+    def hessian(self) -> np.ndarray:
+        return np.ascontiguousarray(np.moveaxis(self.d2, (0, 1), (-2, -1)))
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
         other = _as_jet(other, self)
         return ScalarJet2(self.value + other.value,
-                          self.gradient + other.gradient,
-                          self.hessian + other.hessian)
+                          self.d1 + other.d1,
+                          self.d2 + other.d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _as_jet(other, self)
         return ScalarJet2(self.value - other.value,
-                          self.gradient - other.gradient,
-                          self.hessian - other.hessian)
+                          self.d1 - other.d1,
+                          self.d2 - other.d2)
 
     def __rsub__(self, other):
         return _as_jet(other, self).__sub__(self)
 
     def __neg__(self):
-        return ScalarJet2(-self.value, -self.gradient, -self.hessian)
+        return ScalarJet2(-self.value, -self.d1, -self.d2)
 
     def __mul__(self, other):
         other = _as_jet(other, self)
         av, bv = self.value, other.value
-        grad = self.gradient * _b1(bv) + other.gradient * _b1(av)
-        cross = self.gradient[..., :, None] * other.gradient[..., None, :]
+        grad = self.d1 * bv + other.d1 * av
+        cross = self.d1[:, None] * other.d1[None, :]
         # group the symmetrized cross term so the sum stays bitwise symmetric
-        hess = ((self.hessian * _b2(bv) + other.hessian * _b2(av))
-                + (cross + np.swapaxes(cross, -1, -2)))
+        hess = ((self.d2 * bv + other.d2 * av)
+                + (cross + np.swapaxes(cross, 0, 1)))
         return ScalarJet2(av * bv, grad, hess)
 
     __rmul__ = __mul__
@@ -115,17 +132,17 @@ def _as_jet(x, like: ScalarJet2) -> ScalarJet2:
 
 def jet_constant(c, batch_shape=()):
     return ScalarJet2(np.full(batch_shape, float(c)),
-                      np.zeros(batch_shape + (3,)),
-                      np.zeros(batch_shape + (3, 3)))
+                      np.zeros((3,) + batch_shape),
+                      np.zeros((3, 3) + batch_shape))
 
 
 def coordinate_jet(points, axis):
     """Jet of the coordinate function x^axis at ``points`` of shape (..., 3)."""
     pts = np.asarray(points, dtype=float)
     batch = pts.shape[:-1]
-    grad = np.zeros(batch + (3,))
-    grad[..., axis] = 1.0
-    return ScalarJet2(pts[..., axis].copy(), grad, np.zeros(batch + (3, 3)))
+    grad = np.zeros((3,) + batch)
+    grad[axis] = 1.0
+    return ScalarJet2(pts[..., axis].copy(), grad, np.zeros((3, 3) + batch))
 
 
 def radius_jet(points):
@@ -134,17 +151,16 @@ def radius_jet(points):
     r = np.sqrt(np.sum(pts * pts, axis=-1))
     if np.any(r == 0.0):
         raise DomainError("r is undefined at the coordinate origin")
-    grad = pts / _b1(r)
-    eye = np.eye(3)
-    hess = (eye - grad[..., :, None] * grad[..., None, :]) / _b2(r)
+    grad = batch_last(pts) / r
+    hess = (identity_last(r.ndim) - grad[:, None] * grad[None, :]) / r
     return ScalarJet2(r, grad, hess)
 
 
 def _chain(u: ScalarJet2, f0, f1, f2) -> ScalarJet2:
     """Compose u with a scalar function given f(u), f'(u), f''(u)."""
-    grad = _b1(f1) * u.gradient
-    outer = u.gradient[..., :, None] * u.gradient[..., None, :]
-    hess = _b2(f1) * u.hessian + _b2(f2) * outer
+    grad = f1 * u.d1
+    outer = u.d1[:, None] * u.d1[None, :]
+    hess = f1 * u.d2 + f2 * outer
     return ScalarJet2(np.asarray(f0), grad, hess)
 
 
@@ -161,7 +177,7 @@ def jet_ipow(u: ScalarJet2, n: int) -> ScalarJet2:
     if n == 0:
         return jet_constant(1.0, np.shape(v))
     if n == 1:
-        return ScalarJet2(v.copy(), u.gradient.copy(), u.hessian.copy())
+        return ScalarJet2(v.copy(), u.d1.copy(), u.d2.copy())
     if n < 0 and np.any(v == 0.0):
         raise DomainError("zero raised to a negative power")
     return _chain(u, v ** n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2))

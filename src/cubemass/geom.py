@@ -5,7 +5,9 @@ mean curvature, edge angles, slice-curve geodesic curvature, coordinate
 gradient norms and Laplacians, level-set Gauss curvature) are computed
 exactly from the pointwise jet ``(g, dg, ddg)``.  The large-cube
 expansions the mass formulas rest on are verified by tests against these
-exact values; they are never used as the computation itself.
+exact values; they are never used as the computation itself.  The
+inverse metric, the Christoffel symbols and the curvature tensors are
+cached on the :class:`MetricJet2`, so each is computed once per jet.
 
 Functions broadcast over a leading batch of points, so a whole
 quadrature panel is one call.
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateGradient
 from .expr import ScalarJet2
-from .metric import MetricJet2
+from .metric import MetricJet2, inverse_metric_derivative
 
 
 # ---------------------------------------------------------------------------
@@ -142,29 +144,9 @@ def inverse_and_christoffel(jet: MetricJet2):
     return jet.ginv, jet.christoffel
 
 
-def inverse_metric_derivative(ginv, dg):
-    """d_m g^{ab} = -g^{ac} (d_m g_cd) g^{db}, indexed [..., m, a, b]."""
-    return -np.einsum("...ac,...mcd,...db->...mab", ginv, dg, ginv)
-
-
 def curvature(jet: MetricJet2):
-    """Riemann (1,3) tensor, Ricci tensor and scalar curvature."""
-    ginv, Gamma = inverse_and_christoffel(jet)
-    dg, ddg = jet.dg, jet.ddg
-    dginv = inverse_metric_derivative(ginv, dg)
-    # S[..., m, i, j] = d_j g_mi + d_i g_mj - d_m g_ij and its derivative
-    S = (np.einsum("...jmi->...mij", dg) + np.einsum("...imj->...mij", dg) - dg)
-    dS = (np.einsum("...ljmi->...lmij", ddg)
-          + np.einsum("...limj->...lmij", ddg) - ddg)
-    dGamma = 0.5 * (np.einsum("...lkm,...mij->...lkij", dginv, S)
-                    + np.einsum("...km,...lmij->...lkij", ginv, dS))
-    riemann = (np.einsum("...cadb->...abcd", dGamma)
-               - np.einsum("...dacb->...abcd", dGamma)
-               + np.einsum("...ace,...edb->...abcd", Gamma, Gamma)
-               - np.einsum("...ade,...ecb->...abcd", Gamma, Gamma))
-    ricci = np.einsum("...abad->...bd", riemann)
-    scalar = np.einsum("...bd,...bd->...", ginv, ricci)
-    return riemann, ricci, scalar
+    """Riemann (1,3) tensor, Ricci tensor and scalar curvature (cached on the jet)."""
+    return jet.curvature
 
 
 # ---------------------------------------------------------------------------

@@ -279,12 +279,22 @@ def gauss_bonnet_slice_mass(model: MetricModel, L: float,
 # per-direction gradient-flux formula
 # ---------------------------------------------------------------------------
 
-def _gradient_flux_integrand(axis: int, face: geom.FaceId):
+def _gradient_flux_integrand(axes, face: geom.FaceId):
     def f(points, jets):
         nu = geom.face_normal(jets, face)
-        _, dnorm, _ = geom.coordinate_gradient_jet(jets, axis)
-        return np.einsum("...a,...a->...", nu, dnorm)
+        return [np.einsum("...a,...a->...", nu, geom.coordinate_gradient_jet(jets, axis)[1])
+                for axis in axes]
     return f
+
+
+def _gradient_fluxes(model: MetricModel, L: float, axes,
+                     spec: QuadratureSpec) -> list:
+    """Boundary flux of d_nu |grad x^k| for each k in axes, one jet per face."""
+    totals = np.zeros(len(axes))
+    for face in geom.FACES:
+        totals += quad.integrate_face(model, face, L,
+                                      _gradient_flux_integrand(axes, face), "g", spec)
+    return [float(t) for t in totals]
 
 
 def bartnik_gradient_integral(model: MetricModel, L: float, axis: int,
@@ -295,11 +305,7 @@ def bartnik_gradient_integral(model: MetricModel, L: float, axis: int,
     sums to 16 pi m only when the coordinates are harmonic, and is
     otherwise reported as a diagnostic.
     """
-    total = 0.0
-    for face in geom.FACES:
-        total += quad.integrate_face(model, face, L,
-                                     _gradient_flux_integrand(axis, face), "g", spec)
-    return total
+    return _gradient_fluxes(model, L, (axis,), spec)[0]
 
 
 def _laplacian_integrand(axis: int):
@@ -341,7 +347,7 @@ def bartnik_sum_mass(model: MetricModel, L: float,
     estimator because it vanishes identically on flat space and feeds
     the diagnostic consistency identities.
     """
-    fluxes = [bartnik_gradient_integral(model, L, axis, spec) for axis in range(3)]
+    fluxes = _gradient_fluxes(model, L, range(3), spec)
     total = fluxes[0] + fluxes[1] + fluxes[2]
     breakdown = {"gradient_flux_term": total}
     for axis, fk in enumerate(fluxes):

@@ -81,12 +81,36 @@ class MetricJet2:
         t3 = np.einsum("...km,...mij->...kij", ginv, dg)
         return 0.5 * (t1 + t2 - t3)
 
+    @cached_property
+    def curvature(self) -> tuple:
+        """Riemann (1,3) tensor, Ricci tensor and scalar curvature, computed once."""
+        ginv, Gamma, dg, ddg = self.ginv, self.christoffel, self.dg, self.ddg
+        dginv = inverse_metric_derivative(ginv, dg)
+        # S[..., m, i, j] = d_j g_mi + d_i g_mj - d_m g_ij and its derivative
+        S = (np.einsum("...jmi->...mij", dg) + np.einsum("...imj->...mij", dg) - dg)
+        dS = (np.einsum("...ljmi->...lmij", ddg)
+              + np.einsum("...limj->...lmij", ddg) - ddg)
+        dGamma = 0.5 * (np.einsum("...lkm,...mij->...lkij", dginv, S)
+                        + np.einsum("...km,...lmij->...lkij", ginv, dS))
+        riemann = (np.einsum("...cadb->...abcd", dGamma)
+                   - np.einsum("...dacb->...abcd", dGamma)
+                   + np.einsum("...ace,...edb->...abcd", Gamma, Gamma)
+                   - np.einsum("...ade,...ecb->...abcd", Gamma, Gamma))
+        ricci = np.einsum("...abad->...bd", riemann)
+        scalar = np.einsum("...bd,...bd->...", ginv, ricci)
+        return riemann, ricci, scalar
+
     def __getitem__(self, index) -> "MetricJet2":
         """The jet at a sub-batch; it keeps the inverse if this jet has one."""
         part = MetricJet2(self.g[index], self.dg[index], self.ddg[index])
         if "ginv" in self.__dict__:
             part.__dict__["ginv"] = self.ginv[index]
         return part
+
+
+def inverse_metric_derivative(ginv, dg):
+    """d_m g^{ab} = -g^{ac} (d_m g_cd) g^{db}, indexed [..., m, a, b]."""
+    return -np.einsum("...ac,...mcd,...db->...mab", ginv, dg, ginv)
 
 
 @dataclass
@@ -131,13 +155,16 @@ def _assemble_components(component_jets: dict, batch: tuple) -> tuple:
     g = np.zeros(batch + (3, 3))
     dg = np.zeros(batch + (3, 3, 3))
     ddg = np.zeros(batch + (3, 3, 3, 3))
+    # batch-last views of the batch-first arrays, the layout of the jets
+    dg_last = np.moveaxis(dg, (-3, -2, -1), (0, 1, 2))
+    ddg_last = np.moveaxis(ddg, (-4, -3, -2, -1), (0, 1, 2, 3))
     for (i, j), jet in component_jets.items():
         g[..., i, j] = jet.value
         g[..., j, i] = jet.value
-        dg[..., :, i, j] = jet.gradient
-        dg[..., :, j, i] = jet.gradient
-        ddg[..., :, :, i, j] = jet.hessian
-        ddg[..., :, :, j, i] = jet.hessian
+        dg_last[:, i, j] = jet.d1
+        dg_last[:, j, i] = jet.d1
+        ddg_last[:, :, i, j] = jet.d2
+        ddg_last[:, :, j, i] = jet.d2
     return g, dg, ddg
 
 
@@ -145,13 +172,15 @@ def _conformal_components(U: ScalarJet2, batch: tuple) -> tuple:
     if np.any(U.value <= 0.0):
         raise NotPositiveDefinite("conformal factor is not positive on the sample")
     u = U.value
-    du = U.gradient
     eye = np.eye(3)
+    c3 = 4.0 * u ** 3
+    d1 = c3 * U.d1
+    dd = (12.0 * u ** 2) * (U.d1[:, None] * U.d1[None, :]) + c3 * U.d2
+    # spread over (i, j) into batch-first C arrays, the MetricJet2 layout
     g = (u ** 4)[..., None, None] * eye
-    dg = (4.0 * u ** 3)[..., None, None, None] * du[..., :, None, None] * eye
-    quad = du[..., :, None] * du[..., None, :]
-    dd = (12.0 * u ** 2)[..., None, None] * quad + (4.0 * u ** 3)[..., None, None] * U.hessian
-    ddg = dd[..., :, :, None, None] * eye
+    dg = np.multiply(np.moveaxis(d1, 0, -1)[..., :, None, None], eye, order="C")
+    ddg = np.multiply(np.moveaxis(dd, (0, 1), (-2, -1))[..., :, :, None, None], eye,
+                      order="C")
     return g, dg, ddg
 
 
@@ -162,10 +191,10 @@ def _schwarzschild_factor(points: np.ndarray, mass: float) -> ScalarJet2:
     r = np.sqrt(r2)
     q = 0.5 * mass
     value = 1.0 + q / r
-    grad = -q * pts / r[..., None] ** 3
-    eye = np.eye(3)
-    outer = pts[..., :, None] * pts[..., None, :]
-    hess = q * (3.0 * outer / r[..., None, None] ** 5 - eye / r[..., None, None] ** 3)
+    x, rb = expr.batch_last(pts), r[None]
+    grad = -q * x / rb ** 3
+    outer = x[:, None] * x[None, :]
+    hess = q * (3.0 * outer / rb ** 5 - expr.identity_last(r.ndim) / rb ** 3)
     return ScalarJet2(value, grad, hess)
 
 
@@ -186,6 +215,14 @@ def _builtin_displacement(tau: float, amplitude: float, angular: float) -> list:
     scale = expr.BinOp("*", expr.Num(amplitude), radial)
     return [expr.BinOp("*", expr.BinOp("*", scale, profile), expr.Var(name))
             for name in ("x", "y", "z")]
+
+
+def _user_displacement(displacement) -> tuple:
+    """ASTs of a user displacement's three components and their params."""
+    xi = [expr.ensure_expression(c) for c in displacement]
+    if len(xi) != 3:
+        raise ValidationError("displacement needs exactly three components")
+    return xi, {f"xi{m + 1}": expr.to_source(xi[m]) for m in range(3)}
 
 
 def _displacement_jacobian(xi: list) -> list:
@@ -265,11 +302,7 @@ def pullback_model(tau: float = 0.75, amplitude: float = 0.4, angular: float = 0
         params = {"tau": float(tau), "amplitude": float(amplitude),
                   "angular": float(angular)}
     else:
-        xi = [expr.ensure_expression(c) for c in displacement]
-        if len(xi) != 3:
-            raise ValidationError("displacement needs exactly three components")
-        params = {"xi1": expr.to_source(xi[0]), "xi2": expr.to_source(xi[1]),
-                  "xi3": expr.to_source(xi[2])}
+        xi, params = _user_displacement(displacement)
     program = expr.JetProgram(_displacement_jacobian(xi))
 
     def jets(points):
@@ -292,10 +325,8 @@ def composed_model(mass: float = 1.0, tau_diffeo: float = 0.75, amplitude: float
         params = {"schwarzschild_mass": float(mass), "tau_diffeo": float(tau_diffeo),
                   "amplitude": float(amplitude), "angular": float(angular)}
     else:
-        xi = [expr.ensure_expression(c) for c in displacement]
-        params = {"schwarzschild_mass": float(mass),
-                  "xi1": expr.to_source(xi[0]), "xi2": expr.to_source(xi[1]),
-                  "xi3": expr.to_source(xi[2])}
+        xi, xi_params = _user_displacement(displacement)
+        params = {"schwarzschild_mass": float(mass), **xi_params}
     program = expr.JetProgram(_displacement_jacobian(xi) + xi)
     q = 0.5 * mass
 

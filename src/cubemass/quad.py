@@ -144,8 +144,12 @@ def _measure_ok(measure: str) -> None:
 
 
 def integrate_face(model: MetricModel, face: geom.FaceId, L: float, f,
-                   measure: str = "g", spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Integral of f over one face; f(points, jets) -> values per node."""
+                   measure: str = "g", spec: QuadratureSpec = QuadratureSpec()):
+    """Integral of f over one face; f(points, jets) -> values per node.
+
+    An f that returns k rows of values per node, one per integrand, gets
+    the k integrals as an array, all from one jet evaluation.
+    """
     _measure_ok(measure)
     require_cube(model, L)
     pts, w = face_points(face, L, spec)
@@ -153,7 +157,8 @@ def integrate_face(model: MetricModel, face: geom.FaceId, L: float, f,
     vals = np.asarray(f(pts, jets), dtype=float)
     if measure == "g":
         vals = vals * geom.area_density(jets, face.axis)
-    return float(np.sum(w * vals))
+    total = np.sum(w * vals, axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def integrate_edges(model: MetricModel, L: float, f, measure: str = "g",

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import geom
 from .errors import DegenerateGradient, ValidationError
-from .expr import ScalarJet2
+from .expr import ScalarJet2, batch_last, identity_last
 from .metric import MetricModel, metric_jet
 
 #: Default relative step for the outer central difference.
@@ -48,8 +48,8 @@ def flat_linear(direction=(1.0, 0.0, 0.0)) -> HarmonicTestFunction:
     def jet(points):
         pts = np.asarray(points, dtype=float)
         batch = pts.shape[:-1]
-        grad = np.broadcast_to(a, batch + (3,)).copy()
-        return ScalarJet2(pts @ a, grad, np.zeros(batch + (3, 3)))
+        grad = np.broadcast_to(a.reshape((3,) + (1,) * len(batch)), (3,) + batch).copy()
+        return ScalarJet2(pts @ a, grad, np.zeros((3, 3) + batch))
 
     return HarmonicTestFunction("flat_linear", {"direction": tuple(a)}, jet)
 
@@ -62,10 +62,10 @@ def flat_monopole(center=(0.0, 0.0, 0.0)) -> HarmonicTestFunction:
         s2 = np.sum(d * d, axis=-1)
         s = np.sqrt(s2)
         value = 1.0 / s
-        grad = -d / s[..., None] ** 3
-        outer = d[..., :, None] * d[..., None, :]
-        hess = (3.0 * outer / s[..., None, None] ** 5
-                - np.eye(3) / s[..., None, None] ** 3)
+        d, sb = batch_last(d), s[None]
+        grad = -d / sb ** 3
+        outer = d[:, None] * d[None, :]
+        hess = 3.0 * outer / sb ** 5 - identity_last(s.ndim) / sb ** 3
         return ScalarJet2(value, grad, hess)
 
     return HarmonicTestFunction("flat_monopole", {"center": tuple(c)}, jet)
@@ -80,11 +80,13 @@ def flat_dipole(moment=(0.0, 0.0, 1.0)) -> HarmonicTestFunction:
         r = np.sqrt(r2)
         dx = x @ d
         value = dx / r ** 3
-        grad = d / r[..., None] ** 3 - 3.0 * dx[..., None] * x / r[..., None] ** 5
-        xo = x[..., :, None] * x[..., None, :]
-        dsym = d[:, None] * x[..., None, :] + x[..., :, None] * d[None, :]
-        hess = (-3.0 * (dsym + dx[..., None, None] * np.eye(3)) / r[..., None, None] ** 5
-                + 15.0 * dx[..., None, None] * xo / r[..., None, None] ** 7)
+        x, rb = batch_last(x), r[None]
+        dl = d.reshape((3,) + (1,) * r.ndim)
+        grad = dl / rb ** 3 - 3.0 * dx * x / rb ** 5
+        xo = x[:, None] * x[None, :]
+        dsym = dl[:, None] * x[None, :] + x[:, None] * dl[None, :]
+        hess = (-3.0 * (dsym + dx * identity_last(r.ndim)) / rb ** 5
+                + 15.0 * dx * xo / rb ** 7)
         return ScalarJet2(value, grad, hess)
 
     return HarmonicTestFunction("flat_dipole", {"moment": tuple(d)}, jet)
@@ -99,12 +101,11 @@ def schwarzschild_radial(mass: float = 1.0) -> HarmonicTestFunction:
         r = np.sqrt(np.sum(x * x, axis=-1))
         s = r + q
         value = -1.0 / s
-        grad = x / (r[..., None] * s[..., None] ** 2)
-        outer = x[..., :, None] * x[..., None, :]
-        rb = r[..., None, None]
-        sb = s[..., None, None]
+        x, rb, sb = batch_last(x), r[None], s[None]
+        grad = x / (rb * sb ** 2)
+        outer = x[:, None] * x[None, :]
         hess = (-2.0 * outer / (sb ** 3 * rb ** 2)
-                + (np.eye(3) / rb - outer / rb ** 3) / sb ** 2)
+                + (identity_last(r.ndim) / rb - outer / rb ** 3) / sb ** 2)
         return ScalarJet2(value, grad, hess)
 
     return HarmonicTestFunction("schwarzschild_radial", {"mass": float(mass)}, jet)
@@ -135,11 +136,9 @@ class SternSurvey:
     worst: list             # up to 10 dicts, largest |residual| first
 
 
-def _gradient_norm_field(model: MetricModel, u: HarmonicTestFunction, points):
-    """w = |grad u|_g and its exact coordinate gradient at points."""
-    jets = metric_jet(model, points)
+def _gradient_norm_field(jets, du: ScalarJet2):
+    """w = |grad u|_g and its exact coordinate gradient from the jets of g and u."""
     ginv = jets.ginv
-    du = u.jet(points)
     g1 = du.gradient
     grad_sq = np.einsum("...a,...ab,...b->...", g1, ginv, g1)
     w = np.sqrt(grad_sq)
@@ -185,14 +184,14 @@ def stern_residuals(model: MetricModel, u: HarmonicTestFunction, points,
         shifts[:, 2 * axis, axis] = h
         shifts[:, 2 * axis + 1, axis] = -h
     stencil = (pts[:, None, :] + shifts).reshape(-1, 3)
-    _, dw_s = _gradient_norm_field(model, u, stencil)
+    _, dw_s = _gradient_norm_field(metric_jet(model, stencil), u.jet(stencil))
     dw_s = dw_s.reshape(n, 6, 3)
     fd_hess = np.empty((n, 3, 3))
     for axis in range(3):
         fd_hess[:, axis, :] = (dw_s[:, 2 * axis, :] - dw_s[:, 2 * axis + 1, :]) \
             / (2.0 * h[:, None])
     fd_hess = 0.5 * (fd_hess + np.swapaxes(fd_hess, -1, -2))
-    _, dw0 = _gradient_norm_field(model, u, pts)
+    _, dw0 = _gradient_norm_field(jets, du)
     lhs = (np.einsum("...ab,...ab->...", ginv, fd_hess)
            - np.einsum("...ab,...mab,...m->...", ginv, Gamma, dw0))
     terms = {"hess_sq": hess_sq, "grad_norm": w, "scalar_R": scalar, "gauss_K": K}

@@ -205,6 +205,71 @@ def test_print_parse_round_trip_evaluates_identically(node):
 
 
 # ---------------------------------------------------------------------------
+# batch-last storage against the batch-first formulas
+# ---------------------------------------------------------------------------
+
+def _first_mul(a, b):
+    """Product rule on batch-first (value, (..., 3), (..., 3, 3)) triples."""
+    (av, ag, ah), (bv, bg, bh) = a, b
+    grad = ag * bv[..., None] + bg * av[..., None]
+    cross = ag[..., :, None] * bg[..., None, :]
+    hess = ((ah * bv[..., None, None] + bh * av[..., None, None])
+            + (cross + np.swapaxes(cross, -1, -2)))
+    return av * bv, grad, hess
+
+
+def _first_chain(u, f0, f1, f2):
+    _, ug, uh = u
+    grad = f1[..., None] * ug
+    outer = ug[..., :, None] * ug[..., None, :]
+    return f0, grad, f1[..., None, None] * uh + f2[..., None, None] * outer
+
+
+def _first_radius(pts):
+    r = np.sqrt(np.sum(pts * pts, axis=-1))
+    grad = pts / r[..., None]
+    hess = (np.eye(3) - grad[..., :, None] * grad[..., None, :]) / r[..., None, None]
+    return r, grad, hess
+
+
+def _random_triple(rng, batch):
+    return (rng.normal(size=batch), rng.normal(size=batch + (3,)),
+            rng.normal(size=batch + (3, 3)))
+
+
+def _as_jet(triple):
+    v, g, h = triple
+    return expr.ScalarJet2(v, np.ascontiguousarray(np.moveaxis(g, -1, 0)),
+                           np.ascontiguousarray(np.moveaxis(h, (-2, -1), (0, 1))))
+
+
+def _triple_bits(triple):
+    return [np.asarray(a).tobytes() for a in triple]
+
+
+@given(st.sampled_from([(), (1,), (6,), (4, 3), (1024,)]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_batch_last_arithmetic_equals_the_batch_first_formulas(batch, seed):
+    rng = np.random.default_rng(seed)
+    a, b = _random_triple(rng, batch), _random_triple(rng, batch)
+    assert _bits(_as_jet(a) * _as_jet(b)) == _triple_bits(_first_mul(a, b))
+    f = [rng.normal(size=batch) for _ in range(3)]
+    assert _bits(expr._chain(_as_jet(a), *f)) == _triple_bits(_first_chain(a, *f))
+    pts = rng.uniform(-5.0, 5.0, size=batch + (3,))
+    assert _bits(expr.radius_jet(pts)) == _triple_bits(_first_radius(pts))
+
+
+def test_a_product_stores_contiguous_batch_last_derivatives():
+    pts = np.random.default_rng(2).uniform(1.0, 3.0, size=(1024, 3))
+    for product in (expr.coordinate_jet(pts, 0) * expr.radius_jet(pts),
+                    expr.eval_jet2(expr.parse("sin(x)*r^2"), pts)):
+        assert product.d1.shape == (3, 1024) and product.d1.flags.c_contiguous
+        assert product.d2.shape == (3, 3, 1024) and product.d2.flags.c_contiguous
+        assert product.gradient.shape == (1024, 3) and product.gradient.flags.c_contiguous
+        assert product.hessian.shape == (1024, 3, 3) and product.hessian.flags.c_contiguous
+
+
+# ---------------------------------------------------------------------------
 # compiled programs
 # ---------------------------------------------------------------------------
 

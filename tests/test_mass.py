@@ -205,6 +205,24 @@ def test_metric_checked_and_inverted_once_per_jet(monkeypatch, estimator):
     assert counts["cholesky"] == counts["inv"] == counts["metric_jet"]
 
 
+@pytest.mark.parametrize("model", [SCH, metric.composed_model()], ids=["sch", "composed"])
+def test_bartnik_sum_evaluates_each_face_once(monkeypatch, model):
+    spec = QuadratureSpec(face_order=6)
+    per_axis = [mass.bartnik_gradient_integral(model, 30.0, axis, spec) for axis in range(3)]
+    calls = []
+
+    def counting_jet(model, points):
+        calls.append(len(points))
+        return metric.metric_jet(model, points)
+
+    monkeypatch.setattr(quad, "metric_jet", counting_jet)
+    est = mass.bartnik_sum_mass(model, 30.0, spec)
+    assert calls == [36] * 6
+    # same face order per axis: the terms are the single-axis integrals, bit for bit
+    assert [est.breakdown[f"gradient_flux_term_{k + 1}"] for k in range(3)] == per_axis
+    assert est.breakdown["gradient_flux_term"] == per_axis[0] + per_axis[1] + per_axis[2]
+
+
 def test_slice_term_rejects_small_cube():
     from cubemass.errors import OutsideDomain
     with pytest.raises(OutsideDomain):

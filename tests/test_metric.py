@@ -133,6 +133,24 @@ def test_composed_model_metadata():
     assert model2.tau == 1.0  # min(1, tau_diffeo)
 
 
+@pytest.mark.parametrize("build", [metric.pullback_model, metric.composed_model],
+                         ids=["pullback", "composed"])
+def test_displacement_needs_three_components(build):
+    with pytest.raises(ValidationError, match="exactly three components"):
+        build(displacement=["0.1*x/r", "0.1*y/r"])
+
+
+@pytest.mark.parametrize("name", sorted(ALL_MODELS))
+def test_metric_jet_arrays_are_batch_first_and_c_contiguous(name):
+    # the geometry kernel's einsums sum in an order that follows the strides
+    pts = np.array([[5.0, 1.0, 2.0], [8.0, -3.0, 0.5], [-4.0, 6.0, 3.0]])
+    jet = metric.metric_jet(ALL_MODELS[name](), pts)
+    for array, shape in ((jet.g, (3, 3, 3)), (jet.dg, (3, 3, 3, 3)),
+                         (jet.ddg, (3, 3, 3, 3, 3))):
+        assert array.shape == shape
+        assert array.flags.c_contiguous
+
+
 def test_tau_must_exceed_half():
     with pytest.raises(ValidationError):
         metric.pullback_model(tau=0.5)

@@ -109,9 +109,25 @@ def test_christoffel_computed_once_per_jet(monkeypatch):
     monkeypatch.setattr(np, "einsum", counting_einsum)
     pts = np.array([[3.0, 2.0, -3.0], [4.0, 1.0, -2.0]])
     stern.stern_residuals(SCH, stern.schwarzschild_radial(1.0), pts)
-    # the centre jet needs Gamma; the two stencil jets need only ginv
-    assert len(jets) == 3
+    # the centre jet (reused for dw0) needs Gamma; the stencil jet needs only ginv
+    assert len(jets) == 2
     assert len(gammas) == 1
+
+
+def test_curvature_computed_once_per_batch(monkeypatch):
+    riemanns = []
+    real_einsum = np.einsum
+
+    def counting_einsum(subscripts, *operands, **kwargs):
+        if subscripts == "...cadb->...abcd":  # first term of Riemann
+            riemanns.append(subscripts)
+        return real_einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    pts = np.array([[3.0, 2.0, -3.0], [4.0, 1.0, -2.0]])
+    stern.stern_residuals(SCH, stern.schwarzschild_radial(1.0), pts)
+    # R for the identity and K for the level set share one curvature
+    assert len(riemanns) == 1
 
 
 def test_degenerate_gradient():
