@@ -76,8 +76,10 @@ def run_ladder(model: MetricModel, method: str, Ls, spec: QuadratureSpec = Quadr
     """Run one estimator over increasing cube sizes and fit the error decay.
 
     The reference mass is the model's exact mass when known, otherwise a
-    single high-radius sphere flux (radius 10x the largest ladder size),
-    whose own error sits an order of magnitude beyond the ladder's.
+    single high-radius sphere flux (radius 10x the largest ladder size).
+    That reference is biased: with errors decaying like L^-(2 tau - 1),
+    its own error is about 10^-(2 tau - 1) of the top rung's, which is
+    32% at tau = 0.75, so it shifts the fitted rate.
     """
     Ls = [float(L) for L in Ls]
     if len(Ls) < 4:

@@ -6,8 +6,9 @@ gradient norms and Laplacians, level-set Gauss curvature) are computed
 exactly from the pointwise jet ``(g, dg, ddg)``.  The large-cube
 expansions the mass formulas rest on are verified by tests against these
 exact values; they are never used as the computation itself.  The
-inverse metric, the Christoffel symbols and the curvature tensors are
-cached on the :class:`MetricJet2`, so each is computed once per jet.
+inverse metric, its derivative, the Christoffel symbols and the
+curvature tensors are cached on the :class:`MetricJet2`, so each is
+computed once per jet.
 
 Functions broadcast over a leading batch of points, so a whole
 quadrature panel is one call.
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateGradient
 from .expr import ScalarJet2
-from .metric import MetricJet2, inverse_metric_derivative
+from .metric import MetricJet2
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +175,8 @@ def face_frame(jet: MetricJet2, face: FaceId, points) -> FaceFrame:
     flat round sphere has H = +2/rho under this convention, so cube
     faces in a positive-mass metric come out slightly negative.
     """
-    ginv, dg = jet.ginv, jet.dg
+    ginv, dginv, dg = jet.ginv, jet.dginv, jet.dg
     i, s = face.axis, face.sign
-    dginv = inverse_metric_derivative(ginv, dg)
     w = np.sqrt(ginv[..., i, i])
     nu = face_normal(jet, face)
     dw = dginv[..., :, i, i] / (2.0 * w[..., None])
@@ -284,16 +284,20 @@ def turning_angles(corner_jets: Sequence[MetricJet2], axis: int,
 # coordinate gradients and level sets
 # ---------------------------------------------------------------------------
 
+def coordinate_gradient_norm(jet: MetricJet2, axis: int):
+    """|grad x^axis| = sqrt(g^kk) and its coordinate gradient, exact from d g^kk."""
+    norm = np.sqrt(jet.ginv[..., axis, axis])
+    return norm, jet.dginv[..., :, axis, axis] / (2.0 * norm[..., None])
+
+
 def coordinate_gradient_jet(jet: MetricJet2, axis: int):
     """|grad x^axis|, its coordinate gradient, and the Laplacian of x^axis.
 
-    All exact: |grad x^k| = sqrt(g^kk), its derivatives come from the
-    derivative of the inverse metric, and Delta x^k = -g^ij Gamma^k_ij.
+    All exact: see :func:`coordinate_gradient_norm`, and
+    Delta x^k = -g^ij Gamma^k_ij.
     """
     ginv, Gamma = inverse_and_christoffel(jet)
-    dginv = inverse_metric_derivative(ginv, jet.dg)
-    norm = np.sqrt(ginv[..., axis, axis])
-    dnorm = dginv[..., :, axis, axis] / (2.0 * norm[..., None])
+    norm, dnorm = coordinate_gradient_norm(jet, axis)
     laplacian = -np.einsum("...ab,...ab->...", ginv, Gamma[..., axis, :, :])
     return norm, dnorm, laplacian
 

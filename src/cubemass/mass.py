@@ -280,20 +280,26 @@ def gauss_bonnet_slice_mass(model: MetricModel, L: float,
 # ---------------------------------------------------------------------------
 
 def _gradient_flux_integrand(axes, face: geom.FaceId):
+    """d_nu |grad x^k| times the face's area density, one row per k in axes."""
     def f(points, jets):
         nu = geom.face_normal(jets, face)
-        return [np.einsum("...a,...a->...", nu, geom.coordinate_gradient_jet(jets, axis)[1])
-                for axis in axes]
+        area = geom.area_density(jets, face.axis)
+        return [np.einsum("...a,...a->...", nu, geom.coordinate_gradient_norm(jets, k)[1])
+                * area for k in axes]
     return f
 
 
 def _gradient_fluxes(model: MetricModel, L: float, axes,
                      spec: QuadratureSpec) -> list:
-    """Boundary flux of d_nu |grad x^k| for each k in axes, one jet per face."""
+    """Boundary flux of d_nu |grad x^k| for each k in axes, one jet per face.
+
+    The g-measure is folded into the integrand, so the face integral
+    itself is Euclidean.
+    """
     totals = np.zeros(len(axes))
     for face in geom.FACES:
-        totals += quad.integrate_face(model, face, L,
-                                      _gradient_flux_integrand(axes, face), "g", spec)
+        totals += quad.integrate_face(model, face, L, _gradient_flux_integrand(axes, face),
+                                      "euclidean", spec)
     return [float(t) for t in totals]
 
 
@@ -308,10 +314,15 @@ def bartnik_gradient_integral(model: MetricModel, L: float, axis: int,
     return _gradient_fluxes(model, L, (axis,), spec)[0]
 
 
-def _laplacian_integrand(axis: int):
+def _bkks_integrand(axis: int, face: geom.FaceId):
+    """The gradient-flux row, plus the Laplacian of x^axis on the two axis faces."""
+    flux = _gradient_flux_integrand((axis,), face)
+
     def f(points, jets):
-        _, _, lap = geom.coordinate_gradient_jet(jets, axis)
-        return lap
+        rows = flux(points, jets)
+        if face.axis == axis:
+            rows.append(geom.coordinate_gradient_jet(jets, axis)[2])
+        return rows
     return f
 
 
@@ -319,16 +330,21 @@ def bkks_direction_mass(model: MetricModel, L: float, axis: int,
                         spec: QuadratureSpec = QuadratureSpec()) -> MassEstimate:
     """Single-direction mass: gradient flux plus slice defect, corrected
     by the Laplacian of the coordinate function when the chart is not
-    harmonic.  The uncorrected combination is reported alongside."""
+    harmonic.  The uncorrected combination is reported alongside.
+
+    Each face is evaluated once: the axis faces give the flux and the
+    (Euclidean-measure) Laplacian integral from one jet."""
     if axis not in (0, 1, 2):
         raise ValidationError("axis must be 0, 1 or 2")
-    flux = bartnik_gradient_integral(model, L, axis, spec)
+    flux, laplacian = 0.0, {}
+    for face in geom.FACES:
+        rows = quad.integrate_face(model, face, L, _bkks_integrand(axis, face),
+                                   "euclidean", spec)
+        flux += float(rows[0])
+        if face.axis == axis:
+            laplacian[face.sign] = float(rows[1])
     slice_term = _slice_term(model, axis, L, spec)
-    plus = quad.integrate_face(model, geom.FaceId(axis, 1), L,
-                               _laplacian_integrand(axis), "euclidean", spec)
-    minus = quad.integrate_face(model, geom.FaceId(axis, -1), L,
-                                _laplacian_integrand(axis), "euclidean", spec)
-    correction = plus - minus
+    correction = laplacian[1] - laplacian[-1]
     value = (flux + slice_term - correction) / (8.0 * math.pi)
     return MassEstimate(
         method="bkks_direction", L=float(L), value=value,

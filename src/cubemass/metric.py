@@ -64,34 +64,51 @@ class MetricJet2:
 
     @cached_property
     def ginv(self) -> np.ndarray:
-        """Inverse metric, computed once after checking that ``g`` is SPD."""
-        try:
-            np.linalg.cholesky(self.g)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefinite(
-                "metric is not positive definite on the sample") from None
-        return np.linalg.inv(self.g)
+        """Inverse metric, computed once after checking that ``g`` is SPD.
+
+        The check is Sylvester's criterion (all three leading minors
+        positive, which also rejects NaN); the inverse is the adjugate
+        over the determinant, from six cofactors of the symmetric matrix.
+        Both run on g scaled by a power of two near 1/trace, which is
+        exact and keeps the cubic products clear of overflow.
+        """
+        g = self.g
+        scale = np.ldexp(1.0, -np.frexp(g[..., 0, 0] + g[..., 1, 1] + g[..., 2, 2])[1])
+        a, b, c, d, e, f = (g[..., i, j] * scale for i, j in
+                            ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)))
+        A, B, C = d * f - e * e, c * e - b * f, b * e - c * d
+        minor2 = a * d - b * b
+        det = a * A + b * B + c * C
+        if not (np.all(a > 0.0) and np.all(minor2 > 0.0) and np.all(det > 0.0)):
+            raise NotPositiveDefinite("metric is not positive definite on the sample")
+        ginv = np.empty(g.shape)
+        ginv[..., 0, 0], ginv[..., 1, 1], ginv[..., 2, 2] = A, a * f - c * c, minor2
+        ginv[..., 0, 1] = ginv[..., 1, 0] = B
+        ginv[..., 0, 2] = ginv[..., 2, 0] = C
+        ginv[..., 1, 2] = ginv[..., 2, 1] = b * c - a * e
+        return ginv / (det / scale)[..., None, None]
+
+    @cached_property
+    def dginv(self) -> np.ndarray:
+        """``dginv[..., m, a, b] = d_m g^ab``, computed once."""
+        return inverse_metric_derivative(self.ginv, self.dg)
 
     @cached_property
     def christoffel(self) -> np.ndarray:
         """Christoffel symbols ``Gamma[..., k, i, j] = Gamma^k_ij``, computed once."""
-        ginv, dg = self.ginv, self.dg
-        t1 = np.einsum("...km,...jmi->...kij", ginv, dg)
-        t2 = np.einsum("...km,...imj->...kij", ginv, dg)
-        t3 = np.einsum("...km,...mij->...kij", ginv, dg)
-        return 0.5 * (t1 + t2 - t3)
+        S = _lowered_symbol(self.dg)
+        return 0.5 * (self.ginv @ S.reshape(S.shape[:-3] + (3, 9))).reshape(S.shape)
 
     @cached_property
     def curvature(self) -> tuple:
         """Riemann (1,3) tensor, Ricci tensor and scalar curvature, computed once."""
-        ginv, Gamma, dg, ddg = self.ginv, self.christoffel, self.dg, self.ddg
-        dginv = inverse_metric_derivative(ginv, dg)
-        # S[..., m, i, j] = d_j g_mi + d_i g_mj - d_m g_ij and its derivative
-        S = (np.einsum("...jmi->...mij", dg) + np.einsum("...imj->...mij", dg) - dg)
-        dS = (np.einsum("...ljmi->...lmij", ddg)
-              + np.einsum("...limj->...lmij", ddg) - ddg)
-        dGamma = 0.5 * (np.einsum("...lkm,...mij->...lkij", dginv, S)
-                        + np.einsum("...km,...lmij->...lkij", ginv, dS))
+        ginv, Gamma = self.ginv, self.christoffel
+        S, dS = _lowered_symbol(self.dg), _lowered_symbol(self.ddg)
+        # d_l Gamma^k_ij = 1/2 (d_l g^km S_mij + g^km d_l S_mij), matmuls over m
+        batch = S.shape[:-3]
+        dGamma = 0.5 * (self.dginv @ S.reshape(batch + (1, 3, 9))
+                        + ginv[..., None, :, :] @ dS.reshape(batch + (3, 3, 9)))
+        dGamma = dGamma.reshape(batch + (3, 3, 3, 3))
         riemann = (np.einsum("...cadb->...abcd", dGamma)
                    - np.einsum("...dacb->...abcd", dGamma)
                    + np.einsum("...ace,...edb->...abcd", Gamma, Gamma)
@@ -110,7 +127,16 @@ class MetricJet2:
 
 def inverse_metric_derivative(ginv, dg):
     """d_m g^{ab} = -g^{ac} (d_m g_cd) g^{db}, indexed [..., m, a, b]."""
-    return -np.einsum("...ac,...mcd,...db->...mab", ginv, dg, ginv)
+    up = ginv[..., None, :, :]
+    return -(up @ dg @ up)
+
+
+def _lowered_symbol(d):
+    """S[..., m, i, j] = d_j g_mi + d_i g_mj - d_m g_ij from d[..., k, i, j] = d_k g_ij.
+
+    Acts on the last three axes, so it also lowers the derivative of dg.
+    """
+    return np.moveaxis(d, -3, -1) + np.swapaxes(d, -3, -2) - d
 
 
 @dataclass

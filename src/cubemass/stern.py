@@ -142,8 +142,7 @@ def _gradient_norm_field(jets, du: ScalarJet2):
     g1 = du.gradient
     grad_sq = np.einsum("...a,...ab,...b->...", g1, ginv, g1)
     w = np.sqrt(grad_sq)
-    dginv = geom.inverse_metric_derivative(ginv, jets.dg)
-    dw = (np.einsum("...mab,...a,...b->...m", dginv, g1, g1)
+    dw = (np.einsum("...mab,...a,...b->...m", jets.dginv, g1, g1)
           + 2.0 * np.einsum("...ab,...am,...b->...m", ginv, du.hessian, g1))
     return w, dw / (2.0 * w[..., None])
 

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubemass import geom, metric
 from cubemass.errors import NotPositiveDefinite, OutsideDomain, ValidationError
@@ -154,6 +155,166 @@ def test_metric_jet_arrays_are_batch_first_and_c_contiguous(name):
 def test_tau_must_exceed_half():
     with pytest.raises(ValidationError):
         metric.pullback_model(tau=0.5)
+
+
+# ---------------------------------------------------------------------------
+# closed-form 3x3 kernel against the general-purpose formulas
+# ---------------------------------------------------------------------------
+
+def _reference_ginv(g):
+    """The Cholesky check and the LAPACK inverse."""
+    np.linalg.cholesky(g)
+    return np.linalg.inv(g)
+
+
+def _reference_dginv(ginv, dg):
+    return -np.einsum("...ac,...mcd,...db->...mab", ginv, dg, ginv)
+
+
+def _reference_christoffel(ginv, dg):
+    t1 = np.einsum("...km,...jmi->...kij", ginv, dg)
+    t2 = np.einsum("...km,...imj->...kij", ginv, dg)
+    t3 = np.einsum("...km,...mij->...kij", ginv, dg)
+    return 0.5 * (t1 + t2 - t3)
+
+
+def _reference_curvature(ginv, Gamma, dg, ddg):
+    """Riemann, Ricci, scalar, and the size of the terms Riemann sums."""
+    dginv = _reference_dginv(ginv, dg)
+    S = np.einsum("...jmi->...mij", dg) + np.einsum("...imj->...mij", dg) - dg
+    dS = (np.einsum("...ljmi->...lmij", ddg)
+          + np.einsum("...limj->...lmij", ddg) - ddg)
+    dGamma = 0.5 * (np.einsum("...lkm,...mij->...lkij", dginv, S)
+                    + np.einsum("...km,...lmij->...lkij", ginv, dS))
+    riemann = (np.einsum("...cadb->...abcd", dGamma)
+               - np.einsum("...dacb->...abcd", dGamma)
+               + np.einsum("...ace,...edb->...abcd", Gamma, Gamma)
+               - np.einsum("...ade,...ecb->...abcd", Gamma, Gamma))
+    ricci = np.einsum("...abad->...bd", riemann)
+    scalar = np.einsum("...bd,...bd->...", ginv, ricci)
+    return riemann, ricci, scalar, _point_max(dGamma, 4) + _point_max(Gamma, 3) ** 2
+
+
+def _point_max(a, tensor_ndim):
+    return np.max(np.abs(a), axis=tuple(range(a.ndim - tensor_ndim, a.ndim)))
+
+
+def _assert_point_close(new, old, tensor_ndim, scale=None, rtol=1e-14):
+    """|new - old| <= rtol * scale at every point (scale: max |old| there)."""
+    if scale is None:
+        scale = _point_max(old, tensor_ndim)
+    err = _point_max(new - old, tensor_ndim)
+    assert np.all(err <= rtol * scale), float(np.max(err / scale))
+
+
+def _assert_kernel_matches_references(jet):
+    ginv = _reference_ginv(jet.g)
+    Gamma = _reference_christoffel(ginv, jet.dg)
+    riemann, ricci, scalar, terms = _reference_curvature(ginv, Gamma, jet.dg, jet.ddg)
+    _assert_point_close(jet.ginv, ginv, 2)
+    _assert_point_close(jet.dginv, _reference_dginv(ginv, jet.dg), 3)
+    _assert_point_close(jet.christoffel, Gamma, 3)
+    # the flat pullbacks' curvature is pure cancellation, so it is compared
+    # with the size of the terms that cancel, not with its own size
+    new_riemann, new_ricci, new_scalar = jet.curvature
+    _assert_point_close(new_riemann, riemann, 4, terms)
+    _assert_point_close(new_ricci, ricci, 2, terms)
+    _assert_point_close(new_scalar, scalar, 0, terms * _point_max(ginv, 2))
+
+
+def _random_spd(rng, shape, low=0.2, high=5.0):
+    """Symmetric matrices with eigenvalues in [low, high] (signs allowed)."""
+    q = np.linalg.qr(rng.normal(size=shape + (3, 3)))[0]
+    lam = rng.uniform(low, high, size=shape + (3,))
+    g = q @ (lam[..., None] * np.swapaxes(q, -1, -2))
+    return 0.5 * (g + np.swapaxes(g, -1, -2))
+
+
+@given(st.sampled_from([(), (1,), (7, 5), (1024,)]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_closed_form_kernel_matches_references_on_spd_batches(shape, seed):
+    rng = np.random.default_rng(seed)
+    dg = rng.normal(size=shape + (3, 3, 3))
+    ddg = rng.normal(size=shape + (3, 3, 3, 3))
+    ddg = ddg + np.swapaxes(ddg, -1, -2)
+    jet = metric.MetricJet2(_random_spd(rng, shape), dg + np.swapaxes(dg, -1, -2),
+                            ddg + np.swapaxes(ddg, -3, -4))
+    _assert_kernel_matches_references(jet)
+
+
+@pytest.mark.parametrize("shape", [(), (7, 5), (1024,)], ids=str)
+@pytest.mark.parametrize("name", sorted(ALL_MODELS))
+def test_closed_form_kernel_matches_references_on_model_jets(name, shape):
+    rng = np.random.default_rng(23)
+    d = rng.normal(size=shape + (3,))
+    pts = d / np.linalg.norm(d, axis=-1, keepdims=True) * rng.uniform(
+        2.5, 400.0, size=shape + (1,))
+    _assert_kernel_matches_references(metric.metric_jet(ALL_MODELS[name](), pts))
+
+
+def _cholesky_accepts(g):
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _sylvester_accepts(g):
+    try:
+        metric.MetricJet2(g, np.zeros((3, 3, 3)), np.zeros((3, 3, 3, 3))).ginv
+    except NotPositiveDefinite:
+        return False
+    return True
+
+
+def _borderline_symmetric(rng):
+    """Symmetric matrices that probe each leading minor of the SPD check."""
+    kind = rng.integers(4)
+    if kind == 0:      # anything: mostly indefinite
+        g = rng.normal(size=(3, 3))
+        return (g + g.T) * 10.0 ** rng.uniform(-3, 3)
+    if kind == 1:      # one eigenvalue just above or below zero
+        lam, q = np.linalg.eigh(_random_spd(rng, (), 0.5, 2.0))
+        lam[0] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9, -4)
+        g = q @ (lam[:, None] * q.T)
+        return 0.5 * (g + g.T)
+    # leading 2x2 block SPD, third pivot (Schur complement) of either sign,
+    # sometimes tiny: kind 2 indefinite, kind 3 definite
+    a = _random_spd(rng, (), 0.5, 2.0)[:2, :2]
+    v = rng.normal(size=2)
+    pivot = 10.0 ** rng.uniform(-9, 0) * (-1.0 if kind == 2 else 1.0)
+    g = np.empty((3, 3))
+    g[:2, :2], g[:2, 2], g[2, :2] = a, v, v
+    g[2, 2] = v @ np.linalg.solve(a, v) + pivot
+    return g
+
+
+def test_sylvester_check_accepts_exactly_what_cholesky_accepts():
+    rng = np.random.default_rng(41)
+    accepted = rejected = two_minors_then_rejected = 0
+    for _ in range(4000):
+        g = _borderline_symmetric(rng) * 10.0 ** rng.uniform(-100, 100)
+        ok = _cholesky_accepts(g)
+        assert _sylvester_accepts(g) == ok, g
+        accepted += ok
+        rejected += not ok
+        if not ok and g[0, 0] > 0 and g[0, 0] * g[1, 1] > g[0, 1] ** 2:
+            two_minors_then_rejected += 1
+    assert min(accepted, rejected, two_minors_then_rejected) > 500
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
+def test_inverse_of_a_huge_or_tiny_metric_neither_overflows_nor_underflows(scale):
+    g = _random_spd(np.random.default_rng(43), (64,)) * scale
+    jet = metric.MetricJet2(g, np.zeros((64, 3, 3, 3)), np.zeros((64, 3, 3, 3, 3)))
+    _assert_point_close(jet.ginv, _reference_ginv(g), 2)
+
+
+def test_sylvester_check_rejects_nan():
+    g = np.eye(3)
+    g[1, 1] = np.nan
+    assert not _sylvester_accepts(g)
 
 
 # ---------------------------------------------------------------------------

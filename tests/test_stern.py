@@ -92,21 +92,16 @@ def test_schwarzschild_residual_magnitude():
     assert abs(sample.residual) <= 1e-5
 
 
-def test_christoffel_computed_once_per_jet(monkeypatch):
-    jets, gammas = [], []
-    real_jet, real_einsum = stern.metric_jet, np.einsum
+def test_christoffel_computed_once_per_jet(monkeypatch, count_computations):
+    jets = []
+    real_jet = stern.metric_jet
+    gammas = count_computations("christoffel")
 
     def counting_jet(model, points):
         jets.append(len(points))
         return real_jet(model, points)
 
-    def counting_einsum(subscripts, *operands, **kwargs):
-        if subscripts == "...km,...jmi->...kij":  # first term of Gamma
-            gammas.append(subscripts)
-        return real_einsum(subscripts, *operands, **kwargs)
-
     monkeypatch.setattr(stern, "metric_jet", counting_jet)
-    monkeypatch.setattr(np, "einsum", counting_einsum)
     pts = np.array([[3.0, 2.0, -3.0], [4.0, 1.0, -2.0]])
     stern.stern_residuals(SCH, stern.schwarzschild_radial(1.0), pts)
     # the centre jet (reused for dw0) needs Gamma; the stencil jet needs only ginv
