@@ -86,7 +86,7 @@ def _build_model(args) -> metric.MetricModel:
     if name == "flat":
         return metric.flat_model()
     if name == "schwarzschild":
-        return metric.schwarzschild_model(1.0 if args.mass is None else args.mass)
+        return metric.schwarzschild_model(**_given(mass=args.mass))
     if name == "conformal":
         # U = 1 + c*r^(-tau): --mass doubles as the amplitude c
         tau = 1.0 if args.tau is None else args.tau
@@ -95,11 +95,14 @@ def _build_model(args) -> metric.MetricModel:
         return metric.conformal_model(f"1 + {amp!r}*r^(-{tau!r})", tau,
                                       inner_radius=1.0, exact_mass=exact)
     if name == "pullback":
-        tau = 0.75 if args.tau is None else args.tau
-        amp = 0.4 if args.mass is None else args.mass
-        return metric.pullback_model(tau, amplitude=amp)
+        return metric.pullback_model(**_given(tau=args.tau, amplitude=args.mass))
     raise ValidationError(
         f"unknown --metric '{name}' (flat|schwarzschild|conformal|pullback|file:<path>)")
+
+
+def _given(**flags) -> dict:
+    """The flags that were set, so a constructor's own default holds for the rest."""
+    return {name: value for name, value in flags.items() if value is not None}
 
 
 def _build_spec(args) -> QuadratureSpec:
@@ -264,10 +267,8 @@ def _add_estimator(p: argparse.ArgumentParser, ladder: bool):
         p.add_argument("--Ls", help="comma-separated increasing cube half-sides")
     else:
         p.add_argument("--L", type=float, help="cube half-side (sphere radius for adm-sphere)")
-    p.add_argument("--face-order", type=int, default=32, dest="face_order")
-    p.add_argument("--edge-order", type=int, default=32, dest="edge_order")
-    p.add_argument("--curve-order", type=int, default=32, dest="curve_order")
-    p.add_argument("--slice-order", type=int, default=48, dest="slice_order")
+    for name, order in QuadratureSpec().describe().items():
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=order, dest=name)
     p.add_argument("--measure", choices=("g", "euclidean"), default="euclidean",
                    help="ADM flux measure policy (other estimators fix their own)")
 

@@ -480,11 +480,17 @@ class JetProgram:
     message.  An intermediate jet is dropped after its last consumer.
     Calling the program returns one jet per root; roots that are equal
     share one jet, so treat the results as read-only.
+
+    Compiling walks each node object once, by identity, so a subtree that
+    the roots reuse by reference costs one walk; the program is the one
+    hash-consing alone would give.
     """
 
     def __init__(self, roots):
         self._code = []      # (fn(points, *argument jets), argument slots)
         self._slots = {}     # structural key -> slot
+        self._compiled = {}  # id(node) -> slot
+        roots = list(roots)  # keeps every node alive, so no id is reused
         self._roots = [self._emit(root) for root in roots]
         last_use = {arg: k for k, (_, args) in enumerate(self._code) for arg in args}
         dead = [[] for _ in self._code]
@@ -493,7 +499,7 @@ class JetProgram:
                 dead[k].append(slot)
         self._code = [(fn, args, tuple(free))
                       for (fn, args), free in zip(self._code, dead)]
-        del self._slots
+        del self._slots, self._compiled
 
     def __len__(self) -> int:
         return len(self._code)
@@ -518,6 +524,12 @@ class JetProgram:
         return slot
 
     def _emit(self, e: Expression) -> int:
+        slot = self._compiled.get(id(e))
+        if slot is None:
+            slot = self._compiled[id(e)] = self._compile(e)
+        return slot
+
+    def _compile(self, e: Expression) -> int:
         if isinstance(e, Num):
             # keyed by the bits, so that 0.0 and -0.0 stay distinct
             c = float(e.value)

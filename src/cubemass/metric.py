@@ -20,19 +20,19 @@ with their exact first and second coordinate derivatives (a
 ``expression``
     Six user expressions for the independent components of ``g``.
 
-Jets for the pullback kinds are assembled from symbolically
-differentiated displacement Jacobians evaluated through the jet
-algebra, so ``dg`` and ``ddg`` are exact to roundoff; nothing is ever
-finite-differenced.  Each expression-based model compiles all its
-expressions once, at construction, into one :class:`expr.JetProgram`.
+The pullback kinds write each metric component as an expression built
+from the symbolically differentiated displacement, so ``dg`` and
+``ddg`` are exact to roundoff; nothing is ever finite-differenced.  The
+pullback, composed and expression kinds compile their six components
+once, at construction, into one :class:`expr.JetProgram`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -45,8 +45,7 @@ from .expr import Expression, ScalarJet2
 MODEL_KINDS = ("flat", "conformal", "diffeo_pullback_flat", "composed", "expression")
 
 _COMPONENT_KEYS = ("g11", "g12", "g13", "g22", "g23", "g33")
-_COMPONENT_INDEX = {"g11": (0, 0), "g12": (0, 1), "g13": (0, 2),
-                    "g22": (1, 1), "g23": (1, 2), "g33": (2, 2)}
+_COMPONENT_INDEX = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 @dataclass
@@ -177,14 +176,20 @@ class MetricModel:
 # jet assembly helpers
 # ---------------------------------------------------------------------------
 
-def _assemble_components(component_jets: dict, batch: tuple) -> tuple:
+def _assemble_components(program: expr.JetProgram, points: np.ndarray) -> tuple:
+    """g, dg and ddg from a program whose roots are g11 ... g33, then
+    optionally a conformal factor, which must be positive."""
+    jets = program(points)
+    if any(np.any(U.value <= 0.0) for U in jets[6:]):
+        raise NotPositiveDefinite("conformal factor is not positive on the sample")
+    batch = points.shape[:-1]
     g = np.zeros(batch + (3, 3))
     dg = np.zeros(batch + (3, 3, 3))
     ddg = np.zeros(batch + (3, 3, 3, 3))
     # batch-last views of the batch-first arrays, the layout of the jets
     dg_last = np.moveaxis(dg, (-3, -2, -1), (0, 1, 2))
     ddg_last = np.moveaxis(ddg, (-4, -3, -2, -1), (0, 1, 2, 3))
-    for (i, j), jet in component_jets.items():
+    for (i, j), jet in zip(_COMPONENT_INDEX, jets):
         g[..., i, j] = jet.value
         g[..., j, i] = jet.value
         dg_last[:, i, j] = jet.d1
@@ -251,28 +256,20 @@ def _user_displacement(displacement) -> tuple:
     return xi, {f"xi{m + 1}": expr.to_source(xi[m]) for m in range(3)}
 
 
-def _displacement_jacobian(xi: list) -> list:
-    """ASTs of d_i xi^m via exact symbolic differentiation, row by row."""
-    return [expr.derivative(xi[m], i) for m in range(3) for i in range(3)]
+def _dot(a: list, b: list) -> Expression:
+    """AST of a[0]*b[0] + a[1]*b[1] + a[2]*b[2], summed left to right."""
+    s = expr.BinOp("*", a[0], b[0])
+    for m in (1, 2):
+        s = expr.BinOp("+", s, expr.BinOp("*", a[m], b[m]))
+    return s
 
 
-def _pullback_gram(dxi: list) -> dict:
-    """Component jets of (I + Dxi)^T (I + Dxi) from the jets of d_i xi^m."""
-    J = [[None] * 3 for _ in range(3)]
-    for m in range(3):
-        for i in range(3):
-            jet = dxi[3 * m + i]
-            if m == i:
-                jet = jet + 1.0
-            J[m][i] = jet
-    comps = {}
+def _pullback_gram(xi: list) -> list:
+    """ASTs of g11 ... g33 of (I + Dxi)^T (I + Dxi), with Dxi differentiated exactly."""
+    columns = [[expr.derivative(xi[m], i) for m in range(3)] for i in range(3)]
     for i in range(3):
-        for j in range(i, 3):
-            s = J[0][i] * J[0][j]
-            s = s + J[1][i] * J[1][j]
-            s = s + J[2][i] * J[2][j]
-            comps[(i, j)] = s
-    return comps
+        columns[i][i] = expr.BinOp("+", columns[i][i], expr.Num(1.0))
+    return [_dot(columns[i], columns[j]) for i, j in _COMPONENT_INDEX]
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +326,9 @@ def pullback_model(tau: float = 0.75, amplitude: float = 0.4, angular: float = 0
                   "angular": float(angular)}
     else:
         xi, params = _user_displacement(displacement)
-    program = expr.JetProgram(_displacement_jacobian(xi))
-
-    def jets(points):
-        return _assemble_components(_pullback_gram(program(points)), points.shape[:-1])
-
+    program = expr.JetProgram(_pullback_gram(xi))
     return MetricModel("diffeo_pullback_flat", float(tau), float(inner_radius),
-                       0.0, params, jets)
+                       0.0, params, partial(_assemble_components, program))
 
 
 def composed_model(mass: float = 1.0, tau_diffeo: float = 0.75, amplitude: float = 0.2,
@@ -353,25 +346,14 @@ def composed_model(mass: float = 1.0, tau_diffeo: float = 0.75, amplitude: float
     else:
         xi, xi_params = _user_displacement(displacement)
         params = {"schwarzschild_mass": float(mass), **xi_params}
-    program = expr.JetProgram(_displacement_jacobian(xi) + xi)
-    q = 0.5 * mass
-
-    def jets(points):
-        batch = points.shape[:-1]
-        compiled = program(points)
-        gram = _pullback_gram(compiled[:9])
-        # conformal factor evaluated at the image point phi(x) = x + xi(x)
-        phi = [compiled[9 + m] + expr.coordinate_jet(points, m) for m in range(3)]
-        rho2 = phi[0] * phi[0] + phi[1] * phi[1] + phi[2] * phi[2]
-        U = 1.0 + q / expr.jet_sqrt(rho2)
-        if np.any(U.value <= 0.0):
-            raise NotPositiveDefinite("conformal factor is not positive on the sample")
-        U4 = expr.jet_ipow(U, 4)
-        comps = {key: U4 * jet for key, jet in gram.items()}
-        return _assemble_components(comps, batch)
-
+    # U = 1 + m/(2 rho) at the image point phi(x) = x + xi(x), rho = |phi|
+    phi = [expr.BinOp("+", xi[m], expr.Var(name)) for m, name in enumerate("xyz")]
+    U = expr.BinOp("+", expr.BinOp("/", expr.Num(0.5 * mass),
+                                    expr.Call("sqrt", _dot(phi, phi))), expr.Num(1.0))
+    U4 = expr.BinOp("^", U, expr.Num(4.0))
+    program = expr.JetProgram([expr.BinOp("*", U4, c) for c in _pullback_gram(xi)] + [U])
     return MetricModel("composed", min(1.0, float(tau_diffeo)), float(inner_radius),
-                       float(mass), params, jets)
+                       float(mass), params, partial(_assemble_components, program))
 
 
 def expression_model(components: dict, tau: float, inner_radius: float = 1.0,
@@ -383,15 +365,10 @@ def expression_model(components: dict, tau: float, inner_radius: float = 1.0,
             f"expression metric needs exactly {_COMPONENT_KEYS}; "
             f"missing {missing}, unknown {extra}")
     nodes = {key: expr.ensure_expression(components[key]) for key in _COMPONENT_KEYS}
-    program = expr.JetProgram(list(nodes.values()))
-
-    def jets(points):
-        comps = dict(zip((_COMPONENT_INDEX[key] for key in nodes), program(points)))
-        return _assemble_components(comps, points.shape[:-1])
-
     params = {key: expr.to_source(node) for key, node in nodes.items()}
+    program = expr.JetProgram(list(nodes.values()))
     return MetricModel("expression", float(tau), float(inner_radius), exact_mass,
-                       params, jets)
+                       params, partial(_assemble_components, program))
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +471,11 @@ _PARAM_KEYS = {
     "expression": set(_COMPONENT_KEYS),
 }
 
+#: Numeric params passed on to the pullback and composed constructors, by
+#: argument name; a constructor's own default holds for a key left out.
+_CONSTRUCTOR_ARGS = {"schwarzschild_mass": "mass", "tau_diffeo": "tau_diffeo",
+                     "amplitude": "amplitude", "angular": "angular"}
+
 
 def load_model(source) -> MetricModel:
     """Build a model from a config dict or a JSON file path.
@@ -529,47 +511,25 @@ def load_model(source) -> MetricModel:
 
     if kind == "flat":
         model = flat_model()
-        model.tau, model.inner_radius = tau, inner
-        if exact is not None:
-            model.exact_mass = exact
-        return model
-    if kind == "conformal":
+    elif kind == "conformal":
         if "schwarzschild_mass" in params:
             model = schwarzschild_model(float(params["schwarzschild_mass"]),
                                         inner_radius=inner)
-            model.tau = tau
-            if exact is not None:
-                model.exact_mass = exact
-            return model
-        if "factor" not in params:
+        elif "factor" in params:
+            model = conformal_model(params["factor"], tau, inner, exact)
+        else:
             raise ValidationError("conformal params need 'factor' or 'schwarzschild_mass'")
-        return conformal_model(params["factor"], tau, inner, exact)
-    if kind == "diffeo_pullback_flat":
+    elif kind == "expression":
+        model = expression_model(params, tau, inner, exact)
+    else:
+        given = {_CONSTRUCTOR_ARGS[key]: float(value) for key, value in params.items()
+                 if key in _CONSTRUCTOR_ARGS}
         if {"xi1", "xi2", "xi3"} <= set(params):
-            model = pullback_model(tau, inner_radius=inner,
-                                   displacement=[params["xi1"], params["xi2"], params["xi3"]])
+            given["displacement"] = [params["xi1"], params["xi2"], params["xi3"]]
+        if kind == "composed":
+            model = composed_model(**{"tau_diffeo": tau, **given}, inner_radius=inner)
         else:
-            model = pullback_model(tau,
-                                   amplitude=float(params.get("amplitude", 0.4)),
-                                   angular=float(params.get("angular", 0.3)),
-                                   inner_radius=inner)
-        if exact is not None:
-            model.exact_mass = exact
-        return model
-    if kind == "composed":
-        mass = float(params.get("schwarzschild_mass", 1.0))
-        if {"xi1", "xi2", "xi3"} <= set(params):
-            model = composed_model(mass, tau_diffeo=tau, inner_radius=inner,
-                                   displacement=[params["xi1"], params["xi2"], params["xi3"]])
-        else:
-            model = composed_model(mass,
-                                   tau_diffeo=float(params.get("tau_diffeo", tau)),
-                                   amplitude=float(params.get("amplitude", 0.2)),
-                                   angular=float(params.get("angular", 0.3)),
-                                   inner_radius=inner)
-        model.tau = tau
-        if exact is not None:
-            model.exact_mass = exact
-        return model
-    # expression
-    return expression_model(params, tau, inner, exact)
+            model = pullback_model(tau, inner_radius=inner, **given)
+    # replace() re-runs MetricModel's validation on the file's values
+    return replace(model, tau=tau, inner_radius=inner,
+                   exact_mass=model.exact_mass if exact is None else exact)

@@ -6,6 +6,7 @@ import pytest
 
 from cubemass import cli
 from cubemass.errors import DomainError
+from cubemass.quad import QuadratureSpec
 
 
 def run_cli(capsys, *argv):
@@ -137,6 +138,21 @@ def test_bad_model_file_is_validation_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [("estimate", "--L", "100"),
+                                     ("converge", "--Ls", "25,50,100,200")],
+                         ids=["estimate", "converge"])
+@pytest.mark.parametrize("override", [{"tau": 0.3}, {"inner_radius": -1.0}],
+                         ids=["tau", "inner_radius"])
+def test_invalid_file_tau_or_inner_radius_exits_2(tmp_path, capsys, command, override):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"kind": "conformal", "tau": 1.0, "inner_radius": 1.0,
+                                "params": {"schwarzschild_mass": 1.0}, **override}))
+    code, out, err = run_cli(capsys, command[0], "--metric", f"file:{path}",
+                             "--method", "adm", *command[1:])
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
 def test_non_positive_definite_file_model_is_numeric_failure(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({
@@ -183,6 +199,12 @@ def test_threads_flag_is_rejected(capsys):
                            "--L", "10", "--threads", "2")
     assert code == 2
     assert "--threads" in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "converge"])
+def test_order_flags_default_to_the_quadrature_spec(command):
+    args = cli.build_parser().parse_args([command])
+    assert cli._build_spec(args).describe() == QuadratureSpec().describe()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubemass import geom, metric
+from cubemass import expr, geom, metric
 from cubemass.errors import NotPositiveDefinite, OutsideDomain, ValidationError
 
 
@@ -155,6 +155,87 @@ def test_metric_jet_arrays_are_batch_first_and_c_contiguous(name):
 def test_tau_must_exceed_half():
     with pytest.raises(ValidationError):
         metric.pullback_model(tau=0.5)
+
+
+# ---------------------------------------------------------------------------
+# pullback and composed components against jet arithmetic
+# ---------------------------------------------------------------------------
+
+_USER_XI = ["0.1*r^(-0.75)*x + 0.02*sin(y)*exp(-r/50)", "0.1*r^(-0.75)*y",
+            "0.05*x*z/r^2"]
+
+
+def _reference_gram(dxi):
+    """Component jets of (I + Dxi)^T (I + Dxi) from the nine jets of d_i xi^m."""
+    J = [[dxi[3 * m + i] + 1.0 if m == i else dxi[3 * m + i] for i in range(3)]
+         for m in range(3)]
+    comps = {}
+    for i in range(3):
+        for j in range(i, 3):
+            s = J[0][i] * J[0][j]
+            s = s + J[1][i] * J[1][j]
+            s = s + J[2][i] * J[2][j]
+            comps[(i, j)] = s
+    return comps
+
+
+def _reference_jets(xi, points, mass=None):
+    """g, dg, ddg of a pullback (mass None) or composed model: only the
+    displacement and its Jacobian are compiled, and the Gram matrix and
+    U(phi)^4 are formed by jet arithmetic afterwards."""
+    program = expr.JetProgram([expr.derivative(xi[m], i) for m in range(3)
+                               for i in range(3)] + xi)
+    compiled = program(points)
+    comps = _reference_gram(compiled[:9])
+    if mass is not None:
+        phi = [compiled[9 + m] + expr.coordinate_jet(points, m) for m in range(3)]
+        rho2 = phi[0] * phi[0] + phi[1] * phi[1] + phi[2] * phi[2]
+        U4 = expr.jet_ipow(1.0 + 0.5 * mass / expr.jet_sqrt(rho2), 4)
+        comps = {key: U4 * jet for key, jet in comps.items()}
+    batch = points.shape[:-1]
+    g, dg, ddg = (np.zeros(batch + (3,) * n) for n in (2, 3, 4))
+    for (i, j), jet in comps.items():
+        for a, b in ((i, j), (j, i)):
+            g[..., a, b] = jet.value
+            dg[..., a, b] = jet.gradient
+            ddg[..., a, b] = jet.hessian
+    return g, dg, ddg
+
+
+_REFERENCE_MODELS = {
+    "pullback": (lambda: metric.pullback_model(0.75),
+                 lambda: metric._builtin_displacement(0.75, 0.4, 0.3), None),
+    "pullback_user": (lambda: metric.pullback_model(0.75, displacement=_USER_XI),
+                      lambda: [expr.parse(c) for c in _USER_XI], None),
+    "composed": (lambda: metric.composed_model(),
+                 lambda: metric._builtin_displacement(0.75, 0.2, 0.3), 1.0),
+    "composed_user": (lambda: metric.composed_model(-1.3, displacement=_USER_XI),
+                      lambda: [expr.parse(c) for c in _USER_XI], -1.3),
+}
+
+
+@pytest.mark.parametrize("shape", [(), (7, 5), (1024,)], ids=str)
+@pytest.mark.parametrize("name", sorted(_REFERENCE_MODELS))
+def test_compiled_components_equal_jet_arithmetic_bitwise(name, shape):
+    build, displacement, mass = _REFERENCE_MODELS[name]
+    rng = np.random.default_rng(29)
+    d = rng.normal(size=shape + (3,))
+    pts = d / np.linalg.norm(d, axis=-1, keepdims=True) * rng.uniform(
+        3.0, 400.0, size=shape + (1,))
+    jet = metric.metric_jet(build(), pts)
+    with np.errstate(all="ignore"):
+        reference = _reference_jets(displacement(), pts, mass)
+    for new, old in zip((jet.g, jet.dg, jet.ddg), reference):
+        assert np.array_equal(new, old)
+        assert np.array_equal(np.signbit(new), np.signbit(old))
+
+
+def test_composed_rejects_a_non_positive_conformal_factor():
+    # U = 1 - 2/r at the image point is -1 at r = 1, yet U^4 = 1 makes g = delta
+    model = metric.composed_model(-4.0, inner_radius=0.5, displacement=["0", "0", "0"])
+    assert metric.metric_jet(model, np.array([5.0, 0.0, 0.0])).g[0, 0] > 0.0
+    with pytest.raises(NotPositiveDefinite, match="conformal factor"):
+        metric.metric_jet(model, np.array([[5.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -402,3 +483,71 @@ def test_load_pullback_with_custom_displacement():
                    "xi3": "0.1*r^(-0.75)*z"}})
     riem, _, _ = geom.curvature(metric.metric_jet(model, np.array([8.0, 1.0, -3.0])))
     assert np.max(np.abs(riem)) < 1e-10
+
+
+_FILE_MODELS = {
+    "flat": ({"kind": "flat", "tau": 1.0, "inner_radius": 0.0},
+             lambda: metric.flat_model()),
+    "schwarzschild": ({"kind": "conformal", "tau": 1.0, "inner_radius": 1.5,
+                       "params": {"schwarzschild_mass": 2.0}},
+                      lambda: metric.schwarzschild_model(2.0, inner_radius=1.5)),
+    "conformal_factor": ({"kind": "conformal", "tau": 0.8, "inner_radius": 1.0,
+                          "exact_mass": 0.6, "params": {"factor": "1 + 0.3*r^(-0.8)"}},
+                         lambda: metric.conformal_model("1 + 0.3*r^(-0.8)", 0.8, 1.0,
+                                                        0.6)),
+    "pullback_defaults": ({"kind": "diffeo_pullback_flat", "tau": 0.9,
+                           "inner_radius": 2.0},
+                          lambda: metric.pullback_model(0.9)),
+    "pullback_amplitude": ({"kind": "diffeo_pullback_flat", "tau": 0.75,
+                            "inner_radius": 3.0,
+                            "params": {"tau": 0.75, "amplitude": 0.25}},
+                           lambda: metric.pullback_model(0.75, amplitude=0.25,
+                                                         inner_radius=3.0)),
+    "pullback_user": ({"kind": "diffeo_pullback_flat", "tau": 0.75, "inner_radius": 2.0,
+                       "params": dict(zip(("xi1", "xi2", "xi3"), _USER_XI))},
+                      lambda: metric.pullback_model(0.75, displacement=_USER_XI)),
+    "composed_defaults": ({"kind": "composed", "tau": 0.75, "inner_radius": 2.0},
+                          lambda: metric.composed_model()),
+    "composed_params": ({"kind": "composed", "tau": 0.8, "inner_radius": 2.0,
+                         "exact_mass": 1.5,
+                         "params": {"schwarzschild_mass": 1.5, "tau_diffeo": 0.8,
+                                    "amplitude": 0.1, "angular": 0.0}},
+                        lambda: metric.composed_model(1.5, tau_diffeo=0.8,
+                                                      amplitude=0.1, angular=0.0)),
+    "composed_user": ({"kind": "composed", "tau": 0.75, "inner_radius": 2.0,
+                       "params": {"schwarzschild_mass": -1.3,
+                                  **dict(zip(("xi1", "xi2", "xi3"), _USER_XI))}},
+                      lambda: metric.composed_model(-1.3, tau_diffeo=0.75,
+                                                    displacement=_USER_XI)),
+    "expression": ({"kind": "expression", "tau": 1.0, "inner_radius": 1.0,
+                    "params": {"g11": "1 + 0.1*exp(-r)", "g12": "0.05*sin(x)*exp(-r)",
+                               "g13": "0", "g22": "1 + 0.1/r", "g23": "0.02*x*y/r^3",
+                               "g33": "1 + 0.2/r^2"}},
+                   lambda: ALL_MODELS["expression"]()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FILE_MODELS))
+def test_load_model_equals_the_constructor(name, tmp_path):
+    cfg, build = _FILE_MODELS[name]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(cfg))
+    loaded, direct = metric.load_model(path), build()
+    assert loaded.describe() == direct.describe()
+    pts = np.array([[5.0, 1.0, 2.0], [8.0, -3.0, 0.5], [-40.0, 60.0, 30.0]])
+    new, old = metric.metric_jet(loaded, pts), metric.metric_jet(direct, pts)
+    for part in ("g", "dg", "ddg"):
+        assert np.array_equal(getattr(new, part), getattr(old, part))
+
+
+@pytest.mark.parametrize("cfg", [
+    {"kind": "flat", "tau": 0.5, "inner_radius": 0.0},
+    {"kind": "flat", "tau": 1.0, "inner_radius": -1.0},
+    {"kind": "conformal", "tau": 0.3, "inner_radius": 1.0,
+     "params": {"schwarzschild_mass": 1.0}},
+    {"kind": "composed", "tau": 0.4, "inner_radius": 2.0,
+     "params": {"tau_diffeo": 0.75}},
+], ids=["flat_tau", "flat_inner_radius", "schwarzschild_tau", "composed_tau"])
+def test_load_model_validates_the_file_values(cfg):
+    with pytest.raises(ValidationError):
+        metric.load_model(cfg)
