@@ -226,16 +226,21 @@ def curve_frame(jet: MetricJet2, axis: int, face: FaceId, points,
         raise ValueError("slice axis must differ from the face axis")
     i = face.axis
     j = 3 - axis - i
-    g = jet.g
-    ginv, Gamma = inverse_and_christoffel(jet)
+    g, dg = jet.g, jet.dg
+    ginv = jet.ginv  # raises NotPositiveDefinite, like every other frame
     batch = g.shape[:-2]
     gjj = g[..., j, j]
 
     T = np.zeros(batch + (3,))
     T[..., j] = 1.0 / np.sqrt(gjj)
     dT = np.zeros(batch + (3, 3))
-    dT[..., :, j] = -jet.dg[..., :, j, j] / (2.0 * gjj[..., None] ** 1.5)
-    acc = covariant_acceleration(Gamma, T, dT)
+    dT[..., :, j] = -dg[..., :, j, j] / (2.0 * gjj[..., None] ** 1.5)
+    # T has only a j component, so nabla_T T reads Gamma^m_jj alone:
+    # 1/2 g^mk (2 d_j g_kj - d_k g_jj)
+    lowered = dg[..., j, :, j] + dg[..., j, :, j] - dg[..., :, j, j]
+    gamma_jj = 0.5 * np.einsum("...mk,...k->...m", ginv, lowered)
+    acc = (np.einsum("...a,...am->...m", T, dT)
+           + gamma_jj * T[..., j, None] * T[..., j, None])
 
     v = np.zeros(batch + (3,))
     v[..., i] = 1.0

@@ -48,18 +48,28 @@ _COMPONENT_KEYS = ("g11", "g12", "g13", "g22", "g23", "g33")
 _COMPONENT_INDEX = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
-@dataclass
 class MetricJet2:
     """Metric components with first and second derivatives at points.
 
     ``g``   -- (..., 3, 3), symmetric positive definite
     ``dg``  -- (..., 3, 3, 3) with ``dg[..., k, i, j] = d_k g_ij``
     ``ddg`` -- (..., 3, 3, 3, 3) with ``ddg[..., k, l, i, j] = d_k d_l g_ij``
+
+    ``ddg`` is given either as that array or compactly: ``d2`` is a list
+    of Hessians ``(..., 3, 3)`` and ``spread(d2)`` lays them out as
+    ``ddg`` on first read.  Only the curvature tensors and the falloff
+    audit read ``ddg``, so the cube estimators never build it.
     """
 
-    g: np.ndarray
-    dg: np.ndarray
-    ddg: np.ndarray
+    def __init__(self, g, dg, ddg=None, *, d2=(), spread=None):
+        self.g, self.dg = g, dg
+        self.d2, self._spread = list(d2), spread
+        if ddg is not None:
+            self.__dict__["ddg"] = ddg
+
+    @cached_property
+    def ddg(self) -> np.ndarray:
+        return self._spread(self.d2)
 
     @cached_property
     def ginv(self) -> np.ndarray:
@@ -118,7 +128,11 @@ class MetricJet2:
 
     def __getitem__(self, index) -> "MetricJet2":
         """The jet at a sub-batch; it keeps the inverse if this jet has one."""
-        part = MetricJet2(self.g[index], self.dg[index], self.ddg[index])
+        if "ddg" in self.__dict__:
+            part = MetricJet2(self.g[index], self.dg[index], self.ddg[index])
+        else:
+            part = MetricJet2(self.g[index], self.dg[index],
+                              d2=[d[index] for d in self.d2], spread=self._spread)
         if "ginv" in self.__dict__:
             part.__dict__["ginv"] = self.ginv[index]
         return part
@@ -152,7 +166,7 @@ class MetricModel:
     inner_radius: float
     exact_mass: Optional[float]
     params: dict
-    _jets: Callable[[np.ndarray], tuple] = field(repr=False, compare=False)
+    _jets: Callable[[np.ndarray], MetricJet2] = field(repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -176,30 +190,36 @@ class MetricModel:
 # jet assembly helpers
 # ---------------------------------------------------------------------------
 
-def _assemble_components(program: expr.JetProgram, points: np.ndarray) -> tuple:
-    """g, dg and ddg from a program whose roots are g11 ... g33, then
-    optionally a conformal factor, which must be positive."""
+def _assemble_components(program: expr.JetProgram, points: np.ndarray) -> MetricJet2:
+    """The jet from a program whose roots are g11 ... g33, then optionally
+    a conformal factor, which must be positive."""
     jets = program(points)
     if any(np.any(U.value <= 0.0) for U in jets[6:]):
         raise NotPositiveDefinite("conformal factor is not positive on the sample")
     batch = points.shape[:-1]
     g = np.zeros(batch + (3, 3))
     dg = np.zeros(batch + (3, 3, 3))
-    ddg = np.zeros(batch + (3, 3, 3, 3))
-    # batch-last views of the batch-first arrays, the layout of the jets
+    # batch-last view of the batch-first array, the layout of the jets
     dg_last = np.moveaxis(dg, (-3, -2, -1), (0, 1, 2))
-    ddg_last = np.moveaxis(ddg, (-4, -3, -2, -1), (0, 1, 2, 3))
     for (i, j), jet in zip(_COMPONENT_INDEX, jets):
         g[..., i, j] = jet.value
         g[..., j, i] = jet.value
         dg_last[:, i, j] = jet.d1
         dg_last[:, j, i] = jet.d1
-        ddg_last[:, :, i, j] = jet.d2
-        ddg_last[:, :, j, i] = jet.d2
-    return g, dg, ddg
+    hessians = [np.moveaxis(jet.d2, (0, 1), (-2, -1)) for jet in jets[:6]]
+    return MetricJet2(g, dg, d2=hessians, spread=_spread_components)
 
 
-def _conformal_components(U: ScalarJet2, batch: tuple) -> tuple:
+def _spread_components(d2: list) -> np.ndarray:
+    """ddg from the Hessians of g11 ... g33."""
+    ddg = np.zeros(d2[0].shape[:-2] + (3, 3, 3, 3))
+    for (i, j), d in zip(_COMPONENT_INDEX, d2):
+        ddg[..., i, j] = d
+        ddg[..., j, i] = d
+    return ddg
+
+
+def _conformal_components(U: ScalarJet2) -> MetricJet2:
     if np.any(U.value <= 0.0):
         raise NotPositiveDefinite("conformal factor is not positive on the sample")
     u = U.value
@@ -210,9 +230,13 @@ def _conformal_components(U: ScalarJet2, batch: tuple) -> tuple:
     # spread over (i, j) into batch-first C arrays, the MetricJet2 layout
     g = (u ** 4)[..., None, None] * eye
     dg = np.multiply(np.moveaxis(d1, 0, -1)[..., :, None, None], eye, order="C")
-    ddg = np.multiply(np.moveaxis(dd, (0, 1), (-2, -1))[..., :, :, None, None], eye,
-                      order="C")
-    return g, dg, ddg
+    return MetricJet2(g, dg, d2=[np.moveaxis(dd, (0, 1), (-2, -1))],
+                      spread=_spread_conformal)
+
+
+def _spread_conformal(d2: list) -> np.ndarray:
+    """ddg = d_k d_l (U^4) delta_ij from the one Hessian of U^4."""
+    return np.multiply(d2[0][..., :, :, None, None], np.eye(3), order="C")
 
 
 def _schwarzschild_factor(points: np.ndarray, mass: float) -> ScalarJet2:
@@ -279,9 +303,9 @@ def _pullback_gram(xi: list) -> list:
 def flat_model() -> MetricModel:
     def jets(points):
         batch = points.shape[:-1]
-        return (np.broadcast_to(np.eye(3), batch + (3, 3)).copy(),
-                np.zeros(batch + (3, 3, 3)),
-                np.zeros(batch + (3, 3, 3, 3)))
+        return MetricJet2(np.broadcast_to(np.eye(3), batch + (3, 3)).copy(),
+                          np.zeros(batch + (3, 3, 3)),
+                          d2=[np.zeros(batch + (3, 3))], spread=_spread_conformal)
 
     return MetricModel("flat", 1.0, 0.0, 0.0, {}, jets)
 
@@ -298,8 +322,7 @@ def schwarzschild_model(mass: float = 1.0, inner_radius: float | None = None) ->
         raise ValidationError("inner_radius must exceed |m|/2 so that U > 0")
 
     def jets(points):
-        return _conformal_components(_schwarzschild_factor(points, mass),
-                                     points.shape[:-1])
+        return _conformal_components(_schwarzschild_factor(points, mass))
 
     return MetricModel("conformal", 1.0, float(inner_radius), float(mass),
                        {"schwarzschild_mass": float(mass)}, jets)
@@ -311,7 +334,7 @@ def conformal_model(factor, tau: float, inner_radius: float = 1.0,
     program = expr.JetProgram([node])
 
     def jets(points):
-        return _conformal_components(program(points)[0], points.shape[:-1])
+        return _conformal_components(program(points)[0])
 
     return MetricModel("conformal", float(tau), float(inner_radius), exact_mass,
                        {"factor": expr.to_source(node)}, jets)
@@ -386,10 +409,9 @@ def metric_jet(model: MetricModel, points) -> MetricJet2:
             f"point at radius {float(np.min(radii)):.6g} is inside "
             f"inner_radius={model.inner_radius:.6g}")
     with np.errstate(all="ignore"):
-        g, dg, ddg = model._jets(pts)
-    if not (np.isfinite(g).all() and np.isfinite(dg).all() and np.isfinite(ddg).all()):
+        jet = model._jets(pts)
+    if not all(np.isfinite(a).all() for a in (jet.g, jet.dg, *jet.d2)):
         raise DomainError("metric jet is not finite on the sample")
-    jet = MetricJet2(g, dg, ddg)
     jet.ginv  # a metric that is not SPD fails here, at evaluation
     return jet
 
@@ -524,11 +546,21 @@ def load_model(source) -> MetricModel:
     else:
         given = {_CONSTRUCTOR_ARGS[key]: float(value) for key, value in params.items()
                  if key in _CONSTRUCTOR_ARGS}
-        if {"xi1", "xi2", "xi3"} <= set(params):
-            given["displacement"] = [params["xi1"], params["xi2"], params["xi3"]]
+        xi_keys = ("xi1", "xi2", "xi3")
+        missing = [key for key in xi_keys if key not in params]
+        if len(missing) < 3:
+            if missing:
+                raise ValidationError(f"displacement params are missing {missing}")
+            given["displacement"] = [params[key] for key in xi_keys]
         if kind == "composed":
             model = composed_model(**{"tau_diffeo": tau, **given}, inner_radius=inner)
+            if tau > model.tau:
+                raise ValidationError(f"tau={tau} exceeds the chart falloff "
+                                      f"min(1, tau_diffeo) = {model.tau}")
         else:
+            if "tau" in params and float(params["tau"]) != tau:
+                raise ValidationError(f"params tau={float(params['tau'])} differs "
+                                      f"from the model tau={tau}")
             model = pullback_model(tau, inner_radius=inner, **given)
     # replace() re-runs MetricModel's validation on the file's values
     return replace(model, tau=tau, inner_radius=inner,

@@ -153,6 +153,23 @@ def test_invalid_file_tau_or_inner_radius_exits_2(tmp_path, capsys, command, ove
     assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({"kind": "composed", "tau": 0.95, "params": {"tau_diffeo": 0.6}},
+     "exceeds the chart falloff"),
+    ({"kind": "diffeo_pullback_flat", "tau": 0.75, "params": {"tau": 0.95}},
+     "differs from the model tau"),
+    ({"kind": "diffeo_pullback_flat", "tau": 0.75, "params": {"xi1": "0.5*x/r"}},
+     "missing ['xi2', 'xi3']"),
+], ids=["composed_tau_above_falloff", "pullback_params_tau", "pullback_partial_xi"])
+def test_inconsistent_file_model_exits_2(tmp_path, capsys, cfg, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"inner_radius": 2.0, **cfg}))
+    code, out, err = run_cli(capsys, "estimate", "--metric", f"file:{path}",
+                             "--method", "adm", "--L", "100")
+    assert code == 2
+    assert out == "" and err.startswith("error:") and message in err
+
+
 def test_non_positive_definite_file_model_is_numeric_failure(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({

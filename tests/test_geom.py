@@ -270,6 +270,29 @@ def test_circle_fixes_kappa_sign():
     assert kappa == pytest.approx(1.0 / rho, abs=1e-14)
 
 
+@pytest.mark.parametrize("model", [SCH, metric.pullback_model(0.75), metric.composed_model()],
+                         ids=["sch", "pullback", "composed"])
+def test_curve_frame_kappa_matches_the_full_christoffel_reference(model):
+    # reference: nabla_T T from all 27 symbols through covariant_acceleration
+    rng = np.random.default_rng(11)
+    for face in geom.FACES:
+        for axis in face.in_face_axes:
+            pts = rng.uniform(-20.0, 20.0, size=(64, 3))
+            pts[:, face.axis] = 20.0 * face.sign
+            jet = metric_jet(model, pts)
+            frame = geom.curve_frame(jet, axis, face, pts)
+            j = 3 - axis - face.axis
+            gjj = jet.g[:, j, j]
+            T = np.zeros((64, 3))
+            T[:, j] = 1.0 / np.sqrt(gjj)
+            dT = np.zeros((64, 3, 3))
+            dT[:, :, j] = -jet.dg[:, :, j, j] / (2.0 * gjj[:, None] ** 1.5)
+            acc = geom.covariant_acceleration(jet.christoffel, T, dT)
+            kappa = -np.einsum("...a,...ab,...b->...", acc, jet.g, frame.nu_bar)
+            scale = np.max(np.abs(kappa))
+            assert np.max(np.abs(frame.kappa - kappa)) <= 1e-14 * scale
+
+
 def test_curve_frame_invariants_on_curved_metric():
     model = metric.composed_model(1.0, tau_diffeo=0.75, amplitude=0.2)
     face = geom.FaceId(1, -1)

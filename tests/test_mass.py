@@ -239,6 +239,18 @@ def test_bkks_evaluates_each_face_once(monkeypatch, model, axis):
     assert est.breakdown["correction_term"] == plus - minus
 
 
+@pytest.mark.parametrize("model", [SCH, metric.composed_model()], ids=["sch", "composed"])
+@pytest.mark.parametrize("method", mass.METHODS)
+def test_estimators_read_no_ddg_and_christoffel_only_for_the_laplacian(count_computations,
+                                                                       model, method):
+    built = count_computations("ddg")
+    gammas = count_computations("christoffel")
+    mass.estimate(model, method, 20.0, QuadratureSpec(4, 4, 4, 6), axis=1)
+    assert built == []
+    # bkks: Delta x^k on its two axis faces; curve_frame reads Gamma^m_jj itself
+    assert len(gammas) == (2 if method == "bkks_direction" else 0)
+
+
 @pytest.mark.parametrize("estimate", [mass.bartnik_sum_mass, mass.gromov_cube_mass,
                                       lambda model, L, spec: mass.bkks_direction_mass(
                                           model, L, 1, spec)],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubemass import expr, geom, metric
-from cubemass.errors import NotPositiveDefinite, OutsideDomain, ValidationError
+from cubemass.errors import DomainError, NotPositiveDefinite, OutsideDomain, ValidationError
 
 
 ALL_MODELS = {
@@ -155,6 +155,29 @@ def test_metric_jet_arrays_are_batch_first_and_c_contiguous(name):
 def test_tau_must_exceed_half():
     with pytest.raises(ValidationError):
         metric.pullback_model(tau=0.5)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_MODELS) + ["flat"])
+@pytest.mark.parametrize("index", [2, (1, slice(1, 4)), (slice(None), 0)], ids=str)
+def test_jet_slice_equals_slice_of_ddg(count_computations, name, index):
+    model = metric.flat_model() if name == "flat" else ALL_MODELS[name]()
+    pts = np.random.default_rng(7).uniform(3.0, 9.0, size=(4, 5, 3))
+    built = count_computations("ddg")
+    jet = metric.metric_jet(model, pts)
+    part = jet[index]  # sliced while ddg is still compact
+    assert built == []
+    assert np.array_equal(part.ddg, jet.ddg[index])
+    assert np.array_equal(jet[index].ddg, jet.ddg[index])  # sliced after the build
+    assert len(built) == 2
+
+
+def test_non_finite_second_derivative_fails_at_evaluation():
+    # g and dg are finite at x = 4; d_x d_x g11 = 1e-50 * (1e200)^2 overflows
+    model = metric.expression_model(
+        {"g11": "1 + 1e-50*exp(1e200*(x - 4))", "g12": "0", "g13": "0",
+         "g22": "1", "g23": "0", "g33": "1"}, tau=1.0, inner_radius=0.0)
+    with pytest.raises(DomainError, match="not finite"):
+        metric.metric_jet(model, np.array([[4.0, 1.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -540,14 +563,24 @@ def test_load_model_equals_the_constructor(name, tmp_path):
         assert np.array_equal(getattr(new, part), getattr(old, part))
 
 
-@pytest.mark.parametrize("cfg", [
-    {"kind": "flat", "tau": 0.5, "inner_radius": 0.0},
-    {"kind": "flat", "tau": 1.0, "inner_radius": -1.0},
-    {"kind": "conformal", "tau": 0.3, "inner_radius": 1.0,
-     "params": {"schwarzschild_mass": 1.0}},
-    {"kind": "composed", "tau": 0.4, "inner_radius": 2.0,
-     "params": {"tau_diffeo": 0.75}},
-], ids=["flat_tau", "flat_inner_radius", "schwarzschild_tau", "composed_tau"])
-def test_load_model_validates_the_file_values(cfg):
-    with pytest.raises(ValidationError):
+@pytest.mark.parametrize("cfg, message", [
+    ({"kind": "flat", "tau": 0.5, "inner_radius": 0.0}, "must exceed 1/2"),
+    ({"kind": "flat", "tau": 1.0, "inner_radius": -1.0}, "non-negative"),
+    ({"kind": "conformal", "tau": 0.3, "inner_radius": 1.0,
+      "params": {"schwarzschild_mass": 1.0}}, "must exceed 1/2"),
+    ({"kind": "composed", "tau": 0.4, "inner_radius": 2.0,
+      "params": {"tau_diffeo": 0.75}}, "must exceed 1/2"),
+    ({"kind": "composed", "tau": 0.95, "inner_radius": 2.0,
+      "params": {"tau_diffeo": 0.6}}, r"exceeds the chart falloff min\(1, tau_diffeo\) = 0.6"),
+    ({"kind": "diffeo_pullback_flat", "tau": 0.75, "inner_radius": 2.0,
+      "params": {"tau": 0.95}}, "params tau=0.95 differs from the model tau=0.75"),
+    ({"kind": "diffeo_pullback_flat", "tau": 0.75, "inner_radius": 2.0,
+      "params": {"xi1": "0.5*x/r"}}, r"missing \['xi2', 'xi3'\]"),
+    ({"kind": "composed", "tau": 0.75, "inner_radius": 2.0,
+      "params": {"xi1": "0.5*x/r", "xi3": "0"}}, r"missing \['xi2'\]"),
+], ids=["flat_tau", "flat_inner_radius", "schwarzschild_tau", "composed_tau",
+        "composed_tau_above_falloff", "pullback_params_tau", "pullback_partial_xi",
+        "composed_partial_xi"])
+def test_load_model_validates_the_file_values(cfg, message):
+    with pytest.raises(ValidationError, match=message):
         metric.load_model(cfg)

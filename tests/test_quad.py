@@ -197,6 +197,18 @@ def test_doubling_orders_stays_within_declared_tolerance():
         assert abs(c - d) < quad.DEFAULT_TOLERANCE
 
 
+def test_default_orders_match_the_previous_default():
+    # 24/24/24/36 sits at the round-off floor, like 32/32/32/48 before it
+    from cubemass import mass
+    previous = QuadratureSpec(32, 32, 32, 48)
+    for model in (metric.pullback_model(tau=0.75), metric.composed_model()):
+        for L in (25.0, 400.0):
+            for method in mass.METHODS:
+                new = mass.estimate(model, method, L, axis=0).value
+                old = mass.estimate(model, method, L, previous, axis=0).value
+                assert abs(new - old) <= 1e-12 * max(1.0, abs(old)), (method, L)
+
+
 def test_cube_size_must_clear_inner_radius():
     with pytest.raises(OutsideDomain):
         quad.integrate_face(SCH, geom.FaceId(0, 1), 1.5, one, "g", SMALL)

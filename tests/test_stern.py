@@ -109,6 +109,14 @@ def test_christoffel_computed_once_per_jet(monkeypatch, count_computations):
     assert len(gammas) == 1
 
 
+def test_ddg_built_once_per_batch(count_computations):
+    built = count_computations("ddg")
+    pts = np.array([[3.0, 2.0, -3.0], [4.0, 1.0, -2.0]])
+    stern.stern_residuals(SCH, stern.schwarzschild_radial(1.0), pts)
+    # the centre jet's curvature reads it; the stencil jet does not
+    assert len(built) == 1
+
+
 def test_curvature_computed_once_per_batch(monkeypatch):
     riemanns = []
     real_einsum = np.einsum
