@@ -162,7 +162,10 @@ def cmd_converge(args) -> int:
     spec = _build_spec(args)
     if not args.Ls:
         raise ValidationError("--Ls is required for converge")
-    Ls = [float(v) for v in args.Ls.split(",") if v.strip()]
+    try:
+        Ls = [float(v) for v in args.Ls.split(",") if v.strip()]
+    except ValueError:
+        raise ValidationError(f"--Ls must be comma-separated numbers, got '{args.Ls}'") from None
     method = _METHOD_FLAGS[args.method]
     if method == "gromov_defect":
         raise ValidationError("converge does not apply to the defect diagnostic")

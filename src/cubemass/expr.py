@@ -100,11 +100,13 @@ class ScalarJet2:
     def __mul__(self, other):
         other = _as_jet(other, self)
         av, bv = self.value, other.value
-        grad = self.d1 * bv + other.d1 * av
+        grad = self.d1 * bv
+        grad += other.d1 * av
         cross = self.d1[:, None] * other.d1[None, :]
         # group the symmetrized cross term so the sum stays bitwise symmetric
-        hess = ((self.d2 * bv + other.d2 * av)
-                + (cross + np.swapaxes(cross, 0, 1)))
+        hess = self.d2 * bv
+        hess += other.d2 * av
+        hess += cross + np.swapaxes(cross, 0, 1)
         return ScalarJet2(av * bv, grad, hess)
 
     __rmul__ = __mul__
@@ -162,6 +164,23 @@ def _chain(u: ScalarJet2, f0, f1, f2) -> ScalarJet2:
     outer = u.d1[:, None] * u.d1[None, :]
     hess = f1 * u.d2 + f2 * outer
     return ScalarJet2(np.asarray(f0), grad, hess)
+
+
+def jet_square(u: ScalarJet2) -> ScalarJet2:
+    """``u * u`` bit for bit, with each product formed once and doubled.
+
+    Every sum adds the same two operands in the same order as the
+    general product rule does, so even NaN payloads agree.
+    """
+    v = u.value
+    grad = u.d1 * v
+    grad += grad
+    hess = u.d2 * v
+    hess += hess
+    outer = u.d1[:, None] * u.d1[None, :]
+    outer += outer
+    hess += outer
+    return ScalarJet2(v * v, grad, hess)
 
 
 def jet_reciprocal(u: ScalarJet2) -> ScalarJet2:
@@ -474,10 +493,13 @@ class JetProgram:
     Structurally equal subtrees of all roots compile to one instruction,
     so each distinct subexpression (``r`` above all) is evaluated once
     per batch.  Instructions are in the post-order of evaluating the
-    roots one after another, and each applies the same jet primitive the
-    tree walk would, so values are bitwise those of evaluating every
-    root alone and the first ``DomainError`` carries the same located
-    message.  An intermediate jet is dropped after its last consumer.
+    roots one after another, and each performs the floating-point
+    operations of the tree walk in its order, so values are bitwise those
+    of evaluating every root alone and the first ``DomainError`` carries
+    the same located message.  Two instructions are cheaper forms of the
+    same operations: ``u/v`` compiles to a reciprocal of ``v``, shared by
+    every division by ``v``, times ``u``, and ``u*u`` to one
+    :func:`jet_square`.  An intermediate jet is dropped after its last consumer.
     Calling the program returns one jet per root; roots that are equal
     share one jet, so treat the results as read-only.
 
@@ -554,16 +576,22 @@ class JetProgram:
                 p = float(lit)
                 return self._push(("^", p.hex()),
                                   lambda pts, u: _in_context(e, operator.pow, u, p), left)
-            fn = lambda pts, u, v: _in_context(e, jet_pow, u, v)
-        elif e.op == "/":
-            fn = lambda pts, u, v: _in_context(e, operator.truediv, u, v)
-        else:
-            fn = _ARITHMETIC[e.op]
-        return self._push(e.op, fn, left, self._emit(e.right))
+            return self._push("^", lambda pts, u, v: _in_context(e, jet_pow, u, v),
+                              left, self._emit(e.right))
+        right = self._emit(e.right)
+        if e.op == "/":
+            # u/v is u * (1/v), as in ScalarJet2; divisions by one slot share
+            # its reciprocal, which names the first of them in an error
+            right = self._push("1/", lambda pts, v: _in_context(e, jet_reciprocal, v),
+                               right)
+        elif e.op != "*":
+            return self._push(e.op, _ARITHMETIC[e.op], left, right)
+        if left == right:
+            return self._push("square", lambda pts, u: jet_square(u), left)
+        return self._push("*", lambda pts, u, v: u * v, left, right)
 
 
-_ARITHMETIC = {"+": lambda pts, u, v: u + v, "-": lambda pts, u, v: u - v,
-               "*": lambda pts, u, v: u * v}
+_ARITHMETIC = {"+": lambda pts, u, v: u + v, "-": lambda pts, u, v: u - v}
 
 
 def eval_jet2(e: Expression, points) -> ScalarJet2:

@@ -152,6 +152,12 @@ def _lowered_symbol(d):
     return np.moveaxis(d, -3, -1) + np.swapaxes(d, -3, -2) - d
 
 
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
+
+
 @dataclass
 class MetricModel:
     """A named asymptotically flat metric with declared falloff rate.
@@ -173,6 +179,9 @@ class MetricModel:
             raise ValidationError(f"unknown metric kind '{self.kind}'")
         if not self.tau > 0.5:
             raise ValidationError(f"falloff rate tau={self.tau} must exceed 1/2")
+        _require_finite(tau=self.tau, inner_radius=self.inner_radius)
+        if self.exact_mass is not None:
+            _require_finite(exact_mass=self.exact_mass)
         if self.inner_radius < 0.0:
             raise ValidationError("inner_radius must be non-negative")
 
@@ -316,6 +325,7 @@ def schwarzschild_model(mass: float = 1.0, inner_radius: float | None = None) ->
     Negative masses are admitted for sign-sensitivity tests; the default
     inner radius keeps the chart away from the zero of U.
     """
+    _require_finite(mass=mass)
     if inner_radius is None:
         inner_radius = max(1.0, abs(mass))
     if inner_radius <= abs(mass) / 2.0:
@@ -343,6 +353,7 @@ def conformal_model(factor, tau: float, inner_radius: float = 1.0,
 def pullback_model(tau: float = 0.75, amplitude: float = 0.4, angular: float = 0.3,
                    inner_radius: float = 2.0, displacement=None) -> MetricModel:
     """Flat space pulled back by a decaying diffeomorphism; exact mass 0."""
+    _require_finite(tau=tau, amplitude=amplitude, angular=angular)
     if displacement is None:
         xi = _builtin_displacement(tau, amplitude, angular)
         params = {"tau": float(tau), "amplitude": float(amplitude),
@@ -362,6 +373,8 @@ def composed_model(mass: float = 1.0, tau_diffeo: float = 0.75, amplitude: float
     The mass is invariant under the coordinate change, while the chart
     falloff drops to min(1, tau_diffeo).
     """
+    _require_finite(mass=mass, tau_diffeo=tau_diffeo, amplitude=amplitude,
+                    angular=angular)
     if displacement is None:
         xi = _builtin_displacement(tau_diffeo, amplitude, angular)
         params = {"schwarzschild_mass": float(mass), "tau_diffeo": float(tau_diffeo),
@@ -499,14 +512,25 @@ _CONSTRUCTOR_ARGS = {"schwarzschild_mass": "mass", "tau_diffeo": "tau_diffeo",
                      "amplitude": "amplitude", "angular": "angular"}
 
 
+def _number(value, key: str) -> float:
+    """A config number as a float; anything else is an error naming its key."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"'{key}' must be a number, got {value!r}") from None
+
+
 def load_model(source) -> MetricModel:
     """Build a model from a config dict or a JSON file path.
 
     Unknown keys are rejected so typos never silently change a run.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        except (OSError, ValueError) as err:
+            raise ValidationError(f"cannot read model file '{source}': {err}") from None
     else:
         cfg = dict(source)
     if not isinstance(cfg, dict):
@@ -526,17 +550,18 @@ def load_model(source) -> MetricModel:
     bad = set(params) - _PARAM_KEYS[kind]
     if bad:
         raise ValidationError(f"unknown params for kind '{kind}': {sorted(bad)}")
-    tau = float(cfg["tau"])
-    inner = float(cfg["inner_radius"])
+    tau = _number(cfg["tau"], "tau")
+    inner = _number(cfg["inner_radius"], "inner_radius")
     exact = cfg.get("exact_mass")
-    exact = None if exact is None else float(exact)
+    exact = None if exact is None else _number(exact, "exact_mass")
 
     if kind == "flat":
         model = flat_model()
     elif kind == "conformal":
         if "schwarzschild_mass" in params:
-            model = schwarzschild_model(float(params["schwarzschild_mass"]),
-                                        inner_radius=inner)
+            model = schwarzschild_model(
+                _number(params["schwarzschild_mass"], "params.schwarzschild_mass"),
+                inner_radius=inner)
         elif "factor" in params:
             model = conformal_model(params["factor"], tau, inner, exact)
         else:
@@ -544,8 +569,8 @@ def load_model(source) -> MetricModel:
     elif kind == "expression":
         model = expression_model(params, tau, inner, exact)
     else:
-        given = {_CONSTRUCTOR_ARGS[key]: float(value) for key, value in params.items()
-                 if key in _CONSTRUCTOR_ARGS}
+        given = {_CONSTRUCTOR_ARGS[key]: _number(value, f"params.{key}")
+                 for key, value in params.items() if key in _CONSTRUCTOR_ARGS}
         xi_keys = ("xi1", "xi2", "xi3")
         missing = [key for key in xi_keys if key not in params]
         if len(missing) < 3:
@@ -558,7 +583,7 @@ def load_model(source) -> MetricModel:
                 raise ValidationError(f"tau={tau} exceeds the chart falloff "
                                       f"min(1, tau_diffeo) = {model.tau}")
         else:
-            if "tau" in params and float(params["tau"]) != tau:
+            if "tau" in params and _number(params["tau"], "params.tau") != tau:
                 raise ValidationError(f"params tau={float(params['tau'])} differs "
                                       f"from the model tau={tau}")
             model = pullback_model(tau, inner_radius=inner, **given)

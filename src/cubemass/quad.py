@@ -169,13 +169,18 @@ def integrate_edges(model: MetricModel, L: float, f, measure: str = "g",
 
     f(points, jets, edge) -> values per node.  Any double counting a
     formula wants (e.g. summing over ordered face pairs) belongs to the
-    caller, not here.
+    caller, not here.  The nodes of all 12 edges, in ``geom.EDGES``
+    order, share one jet evaluation; each edge's integral is the same
+    float as :func:`integrate_edge`'s.
     """
     _measure_ok(measure)
     require_cube(model, L)
+    layouts = [edge_points(edge, L, spec) for edge in geom.EDGES]
+    jets = metric_jet(model, np.concatenate([pts for pts, _ in layouts]))
+    n = spec.edge_order
     total = 0.0
-    for edge in geom.EDGES:
-        total += integrate_edge(model, edge, L, f, measure, spec)
+    for k, (edge, (pts, w)) in enumerate(zip(geom.EDGES, layouts)):
+        total += _edge_integral(edge, pts, w, jets[k * n:(k + 1) * n], f, measure)
     return total
 
 
@@ -184,7 +189,10 @@ def integrate_edge(model: MetricModel, edge: geom.EdgeId, L: float, f,
     _measure_ok(measure)
     require_cube(model, L)
     pts, w = edge_points(edge, L, spec)
-    jets = metric_jet(model, pts)
+    return _edge_integral(edge, pts, w, metric_jet(model, pts), f, measure)
+
+
+def _edge_integral(edge: geom.EdgeId, pts, w, jets, f, measure: str) -> float:
     vals = np.asarray(f(pts, jets, edge), dtype=float)
     if measure == "g":
         k = edge.direction

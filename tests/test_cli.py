@@ -170,6 +170,58 @@ def test_inconsistent_file_model_exits_2(tmp_path, capsys, cfg, message):
     assert out == "" and err.startswith("error:") and message in err
 
 
+_MALFORMED_FILES = {
+    "invalid_json": ('{"kind": "flat", ', "cannot read model file"),
+    "tau_text": (json.dumps({"kind": "flat", "tau": "abc", "inner_radius": 0.0}),
+                 "'tau' must be a number"),
+    "tau_null": (json.dumps({"kind": "flat", "tau": None, "inner_radius": 0.0}),
+                 "'tau' must be a number"),
+    "amplitude_text": (json.dumps({"kind": "diffeo_pullback_flat", "tau": 0.75,
+                                   "inner_radius": 2.0, "params": {"amplitude": "big"}}),
+                       "'params.amplitude' must be a number"),
+}
+
+
+@pytest.mark.parametrize("case", ["Ls_text", "missing_file", *_MALFORMED_FILES])
+def test_malformed_input_exits_2_without_a_traceback(tmp_path, capsys, case):
+    path = tmp_path / "model.json"
+    if case == "Ls_text":
+        argv, message = ["converge", "--metric", "pullback", "--Ls", "10,abc,20,40"], "--Ls"
+    else:
+        argv = ["estimate", "--metric", f"file:{path}", "--L", "100"]
+        message = f"cannot read model file '{path}'"
+        if case in _MALFORMED_FILES:
+            text, message = _MALFORMED_FILES[case]
+            path.write_text(text)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--metric", "schwarzschild", "--mass", "nan"), "mass must be finite"),
+    (("--metric", "pullback", "--tau", "inf"), "tau must be finite"),
+    (("--metric", "pullback", "--mass", "inf"), "amplitude must be finite"),
+], ids=["schwarzschild_mass", "pullback_tau", "pullback_amplitude"])
+def test_non_finite_model_parameter_exits_2(capsys, flags, message):
+    code, out, err = run_cli(capsys, "estimate", *flags, "--method", "adm", "--L", "100")
+    assert code == 2
+    assert out == "" and err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("override", [{"inner_radius": "nan"}, {"exact_mass": "inf"}],
+                         ids=["inner_radius", "exact_mass"])
+def test_non_finite_file_value_exits_2(tmp_path, capsys, override):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"kind": "flat", "tau": 1.0, "inner_radius": 0.0,
+                                **override}))
+    code, out, err = run_cli(capsys, "estimate", "--metric", f"file:{path}",
+                             "--method", "adm", "--L", "100")
+    assert code == 2
+    assert out == "" and f"{next(iter(override))} must be finite" in err
+
+
 def test_non_positive_definite_file_model_is_numeric_failure(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({

@@ -342,6 +342,49 @@ def test_signed_zero_literals_are_not_merged():
     assert np.signbit(negative_zero.value).all()
 
 
+def _counting(monkeypatch, name):
+    calls, real = [], getattr(expr, name)
+    monkeypatch.setattr(expr, name, lambda u: calls.append(1) or real(u))
+    return calls
+
+
+def test_divisions_by_one_slot_share_its_reciprocal(monkeypatch):
+    reciprocals = _counting(monkeypatch, "jet_reciprocal")
+    program = expr.JetProgram([expr.parse("x/r + y/r + z/r")])
+    # x, r, 1/r, x*(1/r), y, y*(1/r), +, z, z*(1/r), +
+    assert len(program) == 10
+    program(FUZZ_POINTS)
+    assert len(reciprocals) == 1
+
+
+def test_a_product_of_one_slot_is_one_square(monkeypatch):
+    squares = _counting(monkeypatch, "jet_square")
+    program = expr.JetProgram([expr.parse("sin(x)*sin(x)")])
+    assert len(program) == 3  # x, sin(x), square
+    program(FUZZ_POINTS)
+    assert len(squares) == 1
+
+
+@given(_ast_strategy(), _ast_strategy(), _ast_strategy())
+@settings(max_examples=100, deadline=None)
+def test_squares_and_shared_reciprocals_equal_the_tree_walk(u, v, w):
+    for node in (expr.BinOp("*", u, u),
+                 expr.BinOp("+", expr.BinOp("/", u, v), expr.BinOp("/", w, v))):
+        walked = _outcome(lambda: [_tree_walk(node, FUZZ_POINTS)])
+        compiled = _outcome(lambda: expr.JetProgram([node])(FUZZ_POINTS))
+        if isinstance(walked, str):
+            assert isinstance(compiled, str) and compiled.startswith(walked + " in '")
+        else:
+            assert compiled == walked
+
+
+def test_a_shared_reciprocal_names_the_first_division():
+    # y - 1.3 vanishes at the first fuzz point
+    with pytest.raises(DomainError) as err:
+        expr.JetProgram([expr.parse("x/(y - 1.3) + z/(y - 1.3)")])(FUZZ_POINTS)
+    assert str(err.value) == "division by zero in 'x/(y - 1.3)'"
+
+
 def test_intermediate_jets_are_dropped_after_their_last_use(monkeypatch):
     refs, alive_at_sin = [], []
 

@@ -266,9 +266,9 @@ def test_inverse_metric_derivative_computed_once_per_face_jet(monkeypatch, count
 
     monkeypatch.setattr(quad, "metric_jet", counting_jet)
     estimate(SCH, 20.0, QuadratureSpec(face_order=4, edge_order=4))
-    # every face jet needs d g^-1; no edge jet does
+    # every face jet needs d g^-1; the one jet of all 12 edges does not
     assert len(derivatives) == 6
-    assert len(jets) == (18 if estimate is mass.gromov_cube_mass else 6)
+    assert jets == [16] * 6 + ([12 * 4] if estimate is mass.gromov_cube_mass else [])
 
 
 def test_slice_term_rejects_small_cube():

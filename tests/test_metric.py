@@ -157,6 +157,42 @@ def test_tau_must_exceed_half():
         metric.pullback_model(tau=0.5)
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: metric.schwarzschild_model(_NAN), "mass"),
+    (lambda: metric.schwarzschild_model(-_INF), "mass"),
+    (lambda: metric.pullback_model(_INF), "tau"),
+    (lambda: metric.pullback_model(amplitude=_NAN), "amplitude"),
+    (lambda: metric.pullback_model(angular=_INF), "angular"),
+    (lambda: metric.composed_model(_NAN), "mass"),
+    (lambda: metric.composed_model(tau_diffeo=_INF), "tau_diffeo"),
+    (lambda: metric.composed_model(amplitude=-_INF), "amplitude"),
+    (lambda: metric.composed_model(angular=_NAN), "angular"),
+    (lambda: metric.conformal_model("1 + 1/r", _INF), "tau"),
+    (lambda: metric.conformal_model("1 + 1/r", 1.0, inner_radius=_NAN), "inner_radius"),
+    (lambda: metric.conformal_model("1 + 1/r", 1.0, exact_mass=_NAN), "exact_mass"),
+], ids=["schwarzschild_mass_nan", "schwarzschild_mass_inf", "pullback_tau",
+        "pullback_amplitude", "pullback_angular", "composed_mass", "composed_tau_diffeo",
+        "composed_amplitude", "composed_angular", "model_tau", "model_inner_radius",
+        "model_exact_mass"])
+def test_non_finite_model_parameters_are_rejected(build, message):
+    with pytest.raises(ValidationError, match=f"^{message} must be finite"):
+        build()
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"kind": "flat", "tau": "abc", "inner_radius": 0.0}, "'tau' must be a number"),
+    ({"kind": "flat", "tau": 1.0, "inner_radius": None}, "'inner_radius' must be a number"),
+    ({"kind": "composed", "tau": 0.75, "inner_radius": 2.0,
+      "params": {"angular": [1]}}, "'params.angular' must be a number"),
+], ids=["tau", "inner_radius", "params"])
+def test_load_model_names_a_value_that_is_not_a_number(cfg, message):
+    with pytest.raises(ValidationError, match=message):
+        metric.load_model(cfg)
+
+
 @pytest.mark.parametrize("name", sorted(ALL_MODELS) + ["flat"])
 @pytest.mark.parametrize("index", [2, (1, slice(1, 4)), (slice(None), 0)], ids=str)
 def test_jet_slice_equals_slice_of_ddg(count_computations, name, index):

@@ -136,6 +136,40 @@ def test_flat_deficit_integral_zero():
     assert quad.integrate_edges(FLAT, 5.0, deficit, "g", SMALL) == 0.0
 
 
+def _edge_deficit(points, jets, edge):
+    return 0.5 * math.pi - geom.edge_frame(jets, edge, points).theta
+
+
+_EDGE_MODELS = {
+    "schwarzschild": lambda: SCH,
+    "pullback": lambda: metric.pullback_model(0.75),
+    "composed": lambda: metric.composed_model(),
+    "expression": lambda: metric.expression_model(
+        {"g11": "1 + 0.4/r", "g12": "0.1*x*y/r^3", "g13": "0",
+         "g22": "1 + 0.4/r", "g23": "0.05*z/r^2", "g33": "1 + 0.3/r"},
+        tau=1.0, inner_radius=2.0),
+}
+
+
+@pytest.mark.parametrize("measure", ["g", "euclidean"])
+@pytest.mark.parametrize("name", sorted(_EDGE_MODELS))
+def test_edges_share_one_jet_and_equal_the_edge_by_edge_sum(monkeypatch, name, measure):
+    model, spec, L = _EDGE_MODELS[name](), QuadratureSpec(edge_order=7), 33.25
+    by_edge = 0.0
+    for edge in geom.EDGES:
+        by_edge += quad.integrate_edge(model, edge, L, _edge_deficit, measure, spec)
+    calls = []
+
+    def counting_jet(model, points):
+        calls.append(len(points))
+        return metric.metric_jet(model, points)
+
+    monkeypatch.setattr(quad, "metric_jet", counting_jet)
+    batched = quad.integrate_edges(model, L, _edge_deficit, measure, spec)
+    assert calls == [12 * 7]
+    assert np.float64(batched).tobytes() == np.float64(by_edge).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # slice curves and slices
 # ---------------------------------------------------------------------------
