@@ -18,7 +18,7 @@ import numpy as np
 from . import converge, expr, geom, mass, metric, quad, stern
 from .quad import QuadratureSpec
 
-_SMALL = QuadratureSpec(face_order=12, edge_order=12, curve_order=12, slice_order=16)
+_SMALL = QuadratureSpec(face_order=12, edge_order=12)
 
 
 @dataclass

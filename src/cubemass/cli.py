@@ -106,8 +106,7 @@ def _given(**flags) -> dict:
 
 
 def _build_spec(args) -> QuadratureSpec:
-    return QuadratureSpec(face_order=args.face_order, edge_order=args.edge_order,
-                          curve_order=args.curve_order, slice_order=args.slice_order)
+    return QuadratureSpec(face_order=args.face_order, edge_order=args.edge_order)
 
 
 def _axis_index(args) -> int | None:

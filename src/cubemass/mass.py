@@ -23,6 +23,7 @@ integral by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,8 +110,7 @@ def adm_flux_sphere(model: MetricModel, radius: float,
                         value=total / (16.0 * math.pi),
                         breakdown={"face_term": total},
                         quadrature=QuadratureSpec(face_order=max(2, int(angular_order)),
-                                                  edge_order=2, curve_order=2,
-                                                  slice_order=2),
+                                                  edge_order=2),
                         measure="euclidean+coordinate-normal")
 
 
@@ -184,10 +184,8 @@ def edge_deficit_sums(model: MetricModel, L: float,
 # ---------------------------------------------------------------------------
 
 def _corner_points(axis: int, t, L: float) -> np.ndarray:
-    """Corners of the slice squares at levels t: (4,) + shape(t) + (3,).
-
-    In the counterclockwise order that ``geom.turning_angles`` expects.
-    """
+    """Corners of the slice squares at levels t, (4,) + shape(t) + (3,), in
+    the counterclockwise order that ``geom.turning_angles`` expects."""
     i, j = (a for a in range(3) if a != axis)
     t = np.asarray(t, dtype=float)
     pts = np.empty((4,) + t.shape + (3,))
@@ -198,78 +196,68 @@ def _corner_points(axis: int, t, L: float) -> np.ndarray:
     return pts
 
 
-def _turning_total(model, axis, t, L):
-    """Sum of the four corner turning angles of the slice squares at levels t."""
-    jets = metric_jet(model, _corner_points(axis, t, L))
-    return geom.turning_angles([jets[c] for c in range(4)], axis, t).beta_total
-
-
-def _kappa_integrand(axis: int):
-    def f(points, jets, face):
-        return geom.curve_frame(jets, axis, face, points).kappa
-    return f
-
-
 def slice_defect(model: MetricModel, axis: int, t: float, L: float,
                  spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Angle defect 2 pi - (corner turning angles) - (geodesic curvature)
     of the slice square {x^axis = t} on the cube boundary.
 
-    The per-level diagnostic; the estimators integrate the same defect
-    over all levels at once in ``_slice_term``.
-    """
-    beta_total = _turning_total(model, axis, t, L)
-    kappa_int = quad.integrate_slice_curve(model, axis, t, L,
-                                           _kappa_integrand(axis), "g", spec)
+    The per-level reference for ``_slice_defects``, which the estimators
+    integrate over all levels at once."""
+    jets = metric_jet(model, _corner_points(axis, t, L))
+    beta_total = geom.turning_angles([jets[c] for c in range(4)], axis, t).beta_total
+    kappa_int = quad.integrate_slice_curve(
+        model, axis, t, L, lambda pts, jets, face: geom.curve_frame(jets, axis, face, pts).kappa,
+        "g", spec)
     return 2.0 * math.pi - float(beta_total) - kappa_int
 
 
-def _level_blocks(levels: int, nodes_per_level: int, cap: int):
-    """Runs of whole levels holding at most cap nodes (at least one level)."""
-    step = max(1, cap // nodes_per_level)
-    return [slice(k, k + step) for k in range(0, levels, step)]
-
-
-def _slice_term(model, axis, L, spec):
-    """Integral over t in [-L, L] of the slice defect, in face and edge form.
-
-    By Fubini, Int [2 pi - beta(t) - Int kappa ds] dt is 2 pi times the
-    slice interval, minus the corner turning angles integrated along the
-    four cube edges parallel to the axis, minus kappa * sqrt(g_dd)
-    integrated over the four side faces on the (slice level, curve node)
-    tensor grid.  Jets are evaluated in blocks of whole levels of at most
-    face_order**2 nodes, the size of one face batch elsewhere.
-    """
-    quad.require_cube(model, L)
-    t, wt = quad.gauss_nodes(spec.slice_order, -L, L)
-    s, ws = quad.gauss_nodes(spec.curve_order, -L, L)
-    cap = spec.face_order ** 2
-    beta = np.concatenate([_turning_total(model, axis, t[b], L)
-                           for b in _level_blocks(len(t), 4, cap)])
-    kappa = np.zeros(len(t))
-    for face in geom.FACES:
-        if face.axis == axis:
+def _slice_face(model, face, L, spec, axes, wt, rows):
+    """One face's jet, dropped on return: per slice level, the integral of
+    kappa ds along the face for each axis in axes (zero for the face's own
+    axis), and the Euclidean face integrals of ``rows(face)`` if given."""
+    pts, w, jets = quad.face_sample(model, face, L, spec)
+    n = len(wt)
+    kappa = np.zeros((len(axes), n))
+    for k, axis in enumerate(axes):
+        if axis == face.axis:
             continue
         d = 3 - axis - face.axis
-        for b in _level_blocks(len(t), len(s), cap):
-            pts = np.empty((len(t[b]), len(s), 3))
-            pts[..., axis] = t[b, None]
-            pts[..., face.axis] = face.sign * L
-            pts[..., d] = s
-            jets = metric_jet(model, pts)
-            frame = geom.curve_frame(jets, axis, face, pts)
-            kappa[b] += (frame.kappa * np.sqrt(jets.g[..., d, d])) @ ws
-    # combine per level first: the three terms are O(L) each while the
-    # defect is O(m), so summing them separately loses digits
-    return float(wt @ (2.0 * math.pi - beta - kappa))
+        frame = geom.curve_frame(jets, axis, face, pts)
+        grid = (frame.kappa * np.sqrt(jets.g[..., d, d])).reshape(n, n)
+        # the grid's rows are the nodes of in_face_axes[0]: put levels on rows
+        kappa[k] = (grid if axis == face.in_face_axes[0] else grid.T) @ wt
+    if rows is None:
+        return kappa, None
+    return kappa, np.sum(w * np.asarray(rows(face)(pts, jets), dtype=float), axis=-1)
+
+
+def _slice_defects(model, axes, L, spec, rows=None):
+    """Level weights and the slice defect 2 pi - beta(t) - Int kappa ds at
+    each level t, one row per axis in axes; a slice term is their product.
+
+    By Fubini, the beta part runs along the four cube edges parallel to the
+    axis and the kappa * sqrt(g_dd) part over the four side faces.  Levels
+    and curve nodes are the face rule's nodes, so one jet per face serves
+    every axis, and one more holds the corner lines of all the axes.  Also
+    returns the face integrals of ``rows(face)``, in ``geom.FACES`` order.
+    """
+    quad.require_cube(model, L)
+    t, wt = quad.gauss_nodes(spec.face_order, -L, L)
+    per_face = [_slice_face(model, face, L, spec, axes, wt, rows) for face in geom.FACES]
+    kappa = sum(face_kappa for face_kappa, _ in per_face)
+    jets = metric_jet(model, np.stack([_corner_points(axis, t, L) for axis in axes]))
+    beta = np.stack([geom.turning_angles([jets[k, c] for c in range(4)], axis, t).beta_total
+                     for k, axis in enumerate(axes)])
+    # combine per level before the t-sum: the three terms are O(L) each
+    # while the defect is O(m), so summing them separately loses digits
+    return wt, 2.0 * math.pi - beta - kappa, [face_rows for _, face_rows in per_face]
 
 
 def gauss_bonnet_slice_mass(model: MetricModel, L: float,
                             spec: QuadratureSpec = QuadratureSpec()) -> MassEstimate:
     """Mass as the integrated angle defect of coordinate-plane slices."""
-    terms = {}
-    for axis in range(3):
-        terms[f"slice_term_{axis + 1}"] = _slice_term(model, axis, L, spec)
+    wt, defects, _ = _slice_defects(model, (0, 1, 2), L, spec)
+    terms = {f"slice_term_{axis + 1}": float(wt @ defects[axis]) for axis in range(3)}
     value = sum(terms.values()) / (8.0 * math.pi)
     return MassEstimate(method="gauss_bonnet_slices", L=float(L), value=value,
                         breakdown=terms, quadrature=spec, measure="g")
@@ -332,18 +320,18 @@ def bkks_direction_mass(model: MetricModel, L: float, axis: int,
     by the Laplacian of the coordinate function when the chart is not
     harmonic.  The uncorrected combination is reported alongside.
 
-    Each face is evaluated once: the axis faces give the flux and the
-    (Euclidean-measure) Laplacian integral from one jet."""
+    Each face is evaluated once: its jet gives the flux, the slice term's
+    kappa and, on the axis faces, the (Euclidean-measure) Laplacian."""
     if axis not in (0, 1, 2):
         raise ValidationError("axis must be 0, 1 or 2")
+    wt, (defect,), face_rows = _slice_defects(model, (axis,), L, spec,
+                                              functools.partial(_bkks_integrand, axis))
+    slice_term = float(wt @ defect)
     flux, laplacian = 0.0, {}
-    for face in geom.FACES:
-        rows = quad.integrate_face(model, face, L, _bkks_integrand(axis, face),
-                                   "euclidean", spec)
+    for face, rows in zip(geom.FACES, face_rows):
         flux += float(rows[0])
         if face.axis == axis:
             laplacian[face.sign] = float(rows[1])
-    slice_term = _slice_term(model, axis, L, spec)
     correction = laplacian[1] - laplacian[-1]
     value = (flux + slice_term - correction) / (8.0 * math.pi)
     return MassEstimate(

@@ -520,6 +520,14 @@ def _number(value, key: str) -> float:
         raise ValidationError(f"'{key}' must be a number, got {value!r}") from None
 
 
+def _expression(params: dict, key: str) -> str:
+    """A config expression string; anything else is an error naming its key."""
+    if not isinstance(params[key], str):
+        raise ValidationError(f"'params.{key}' must be an expression string, "
+                              f"got {params[key]!r}")
+    return params[key]
+
+
 def load_model(source) -> MetricModel:
     """Build a model from a config dict or a JSON file path.
 
@@ -563,11 +571,12 @@ def load_model(source) -> MetricModel:
                 _number(params["schwarzschild_mass"], "params.schwarzschild_mass"),
                 inner_radius=inner)
         elif "factor" in params:
-            model = conformal_model(params["factor"], tau, inner, exact)
+            model = conformal_model(_expression(params, "factor"), tau, inner, exact)
         else:
             raise ValidationError("conformal params need 'factor' or 'schwarzschild_mass'")
     elif kind == "expression":
-        model = expression_model(params, tau, inner, exact)
+        model = expression_model({key: _expression(params, key) for key in params},
+                                 tau, inner, exact)
     else:
         given = {_CONSTRUCTOR_ARGS[key]: _number(value, f"params.{key}")
                  for key, value in params.items() if key in _CONSTRUCTOR_ARGS}
@@ -576,7 +585,7 @@ def load_model(source) -> MetricModel:
         if len(missing) < 3:
             if missing:
                 raise ValidationError(f"displacement params are missing {missing}")
-            given["displacement"] = [params[key] for key in xi_keys]
+            given["displacement"] = [_expression(params, key) for key in xi_keys]
         if kind == "composed":
             model = composed_model(**{"tau_diffeo": tau, **given}, inner_radius=inner)
             if tau > model.tau:

@@ -18,32 +18,30 @@ from .errors import BadInterval, OutsideDomain, ValidationError
 from .metric import MetricModel, metric_jet
 
 #: Assumed error scale of the default orders, with a wide margin: on the
-#: built-in model families the 24/24/24/36 rules are within 1.5e-14 of a
-#: 64/64/64/96 reference, independent of L, and doubling every order
-#: moves the reported integrals by less than this (asserted by tests).
-#: It is not measured per run.  The convergence module treats errors
-#: below 100x this value as quadrature floor.
+#: built-in model families the 24/24 rules (faces and slices share one)
+#: are within 1.6e-14 of a 64/64/64/96 reference, independent of L, and
+#: doubling both orders moves the reported integrals by less than this
+#: (asserted by tests).  It is not measured per run.  The convergence
+#: module treats errors below 100x this value as quadrature floor.
 DEFAULT_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Legendre node counts per dimension/segment."""
+    """Gauss-Legendre node counts per face side and per edge; slice levels
+    and slice-curve nodes use the face rule."""
 
     face_order: int = 24
     edge_order: int = 24
-    curve_order: int = 24
-    slice_order: int = 36
 
     def __post_init__(self):
-        for name in ("face_order", "edge_order", "curve_order", "slice_order"):
+        for name in ("face_order", "edge_order"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 2:
                 raise ValidationError(f"{name} must be an integer >= 2")
 
     def describe(self) -> dict:
-        return {"face_order": self.face_order, "edge_order": self.edge_order,
-                "curve_order": self.curve_order, "slice_order": self.slice_order}
+        return {"face_order": self.face_order, "edge_order": self.edge_order}
 
 
 @lru_cache(maxsize=None)
@@ -63,10 +61,11 @@ def gauss_nodes(n: int, a: float, b: float):
 
 
 def require_cube(model: MetricModel, L: float) -> None:
-    """Reject a cube half-side that is not positive or reaches into the
-    model's excluded core (L < 2 * inner_radius)."""
+    """Reject a cube half-side that is not finite, not positive, or reaches
+    into the model's excluded core (L < 2 * inner_radius)."""
     if not np.isfinite(L) or L <= 0.0:
-        raise OutsideDomain(f"cube half-side must be positive, got {L}")
+        fault = "positive" if np.isfinite(L) else "finite"
+        raise OutsideDomain(f"cube half-side must be {fault}, got {L}")
     if L < 2.0 * model.inner_radius:
         raise OutsideDomain(
             f"cube half-side {L} is below 2*inner_radius = {2 * model.inner_radius}")
@@ -107,7 +106,7 @@ def slice_segments(axis: int, t: float, L: float, spec: QuadratureSpec):
     i, j = (a for a in range(3) if a != axis)
     path = ((geom.FaceId(i, 1), j), (geom.FaceId(j, 1), i),
             (geom.FaceId(i, -1), j), (geom.FaceId(j, -1), i))
-    x, w = gauss_nodes(spec.curve_order, -L, L)
+    x, w = gauss_nodes(spec.face_order, -L, L)
     out = []
     for face, d in path:
         pts = np.empty((len(x), 3))
@@ -153,14 +152,19 @@ def integrate_face(model: MetricModel, face: geom.FaceId, L: float, f,
     the k integrals as an array, all from one jet evaluation.
     """
     _measure_ok(measure)
-    require_cube(model, L)
-    pts, w = face_points(face, L, spec)
-    jets = metric_jet(model, pts)
+    pts, w, jets = face_sample(model, face, L, spec)
     vals = np.asarray(f(pts, jets), dtype=float)
     if measure == "g":
         vals = vals * geom.area_density(jets, face.axis)
     total = np.sum(w * vals, axis=-1)
     return float(total) if total.ndim == 0 else total
+
+
+def face_sample(model: MetricModel, face: geom.FaceId, L: float, spec: QuadratureSpec):
+    """Nodes, weights and metric jet of one face: the one face layout."""
+    require_cube(model, L)
+    pts, w = face_points(face, L, spec)
+    return pts, w, metric_jet(model, pts)
 
 
 def integrate_edges(model: MetricModel, L: float, f, measure: str = "g",
@@ -227,7 +231,7 @@ def integrate_slices(model: MetricModel, axis: int, L: float, F,
                      spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Outer rule over the slice level t in [-L, L]; F(t) -> value."""
     require_cube(model, L)
-    t_nodes, w = gauss_nodes(spec.slice_order, -L, L)
+    t_nodes, w = gauss_nodes(spec.face_order, -L, L)
     total = 0.0
     for t, wt in zip(t_nodes, w):
         total += wt * float(F(float(t)))

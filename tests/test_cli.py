@@ -129,6 +129,16 @@ def test_cube_inside_inner_radius_is_numeric_failure(capsys):
     assert "inner_radius" in err
 
 
+@pytest.mark.parametrize("L, message", [("inf", "cube half-side must be finite, got inf"),
+                                        ("-5", "cube half-side must be positive, got -5.0")],
+                         ids=["inf", "negative"])
+def test_cube_half_side_faults_are_named(capsys, L, message):
+    code, out, err = run_cli(capsys, "estimate", "--metric", "schwarzschild",
+                             "--method", "gauss-bonnet", "--L", L)
+    assert code == 3
+    assert out == "" and err == f"numeric failure: {message}\n"
+
+
 def test_bad_model_file_is_validation_error(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"kind": "flat", "tau": 1.0,
@@ -151,6 +161,24 @@ def test_invalid_file_tau_or_inner_radius_exits_2(tmp_path, capsys, command, ove
                              "--method", "adm", *command[1:])
     assert code == 2
     assert out == "" and err.startswith("error:")
+
+
+_FLAT_COMPONENTS = {"g11": "1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"kind": "conformal", "tau": 1.0, "params": {"factor": 5}}, "factor"),
+    ({"kind": "diffeo_pullback_flat", "tau": 0.75,
+      "params": {"xi1": 1, "xi2": "0", "xi3": "0"}}, "xi1"),
+    ({"kind": "expression", "tau": 1.0, "params": {**_FLAT_COMPONENTS, "g11": 1}}, "g11"),
+], ids=["conformal_factor", "displacement", "expression_component"])
+def test_number_where_an_expression_is_required_exits_2(tmp_path, capsys, cfg, key):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"inner_radius": 2.0, **cfg}))
+    code, out, err = run_cli(capsys, "estimate", "--metric", f"file:{path}",
+                             "--method", "adm", "--L", "100")
+    assert code == 2
+    assert out == "" and err.startswith(f"error: 'params.{key}' must be an expression string")
 
 
 @pytest.mark.parametrize("cfg, message", [
@@ -274,6 +302,23 @@ def test_threads_flag_is_rejected(capsys):
 def test_order_flags_default_to_the_quadrature_spec(command):
     args = cli.build_parser().parse_args([command])
     assert cli._build_spec(args).describe() == QuadratureSpec().describe()
+
+
+@pytest.mark.parametrize("flag", ["--slice-order", "--curve-order"])
+def test_slice_orders_are_not_flags(capsys, flag):
+    # slice levels and curve nodes use the face rule
+    code, out, err = run_cli(capsys, "estimate", "--metric", "flat", "--method",
+                             "gauss-bonnet", "--L", "10", flag,
+                             "36" if flag == "--slice-order" else "24")
+    assert code == 2
+    assert out == "" and flag in err
+
+
+def test_report_quadrature_block_has_the_face_and_edge_orders(capsys):
+    code, out, _ = run_cli(capsys, "estimate", "--metric", "flat",
+                           "--method", "gauss-bonnet", "--L", "10")
+    assert code == 0
+    assert json_out(out)["quadrature"] == {"face_order": 24, "edge_order": 24}
 
 
 # ---------------------------------------------------------------------------

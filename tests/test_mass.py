@@ -143,9 +143,8 @@ def test_gauss_bonnet_flat_slice_defect_identically_zero():
         assert mass.slice_defect(FLAT, 1, t, 10.0, SPEC) == 0.0
 
 
-#: curve_order != slice_order, so a swapped (level, curve node) grid fails;
-#: face_order 6 caps jet calls at 36 nodes, so levels come in uneven blocks
-SLICE_SPEC = QuadratureSpec(face_order=6, curve_order=8, slice_order=12)
+#: face_order != edge_order, so corners placed at edge nodes fail
+SLICE_SPEC = QuadratureSpec(face_order=6, edge_order=5)
 
 
 @pytest.mark.parametrize("model", [SCH, metric.pullback_model(0.75),
@@ -153,30 +152,46 @@ SLICE_SPEC = QuadratureSpec(face_order=6, curve_order=8, slice_order=12)
                          ids=["schwarzschild", "pullback", "composed"])
 def test_slice_term_equals_per_level_integral(model):
     L, spec = 37.0, SLICE_SPEC
+    levels, _ = quad.gauss_nodes(spec.face_order, -L, L)
+    wt, defects, _ = mass._slice_defects(model, (0, 1, 2), L, spec)
     for axis in range(3):
+        # level by level: a face grid read with levels and curve nodes
+        # swapped integrates to the same term, so only this tells it apart
+        for t, defect in zip(levels, defects[axis]):
+            ref = mass.slice_defect(model, axis, float(t), L, spec)
+            assert abs(defect - ref) <= 1e-12 * max(1.0, abs(ref))
         per_level = quad.integrate_slices(
             model, axis, L, lambda t: mass.slice_defect(model, axis, t, L, spec), spec)
-        term = mass._slice_term(model, axis, L, spec)
+        term = float(wt @ defects[axis])
         assert abs(term - per_level) <= 1e-12 * max(1.0, abs(per_level))
+        # one axis alone reads the same face sample as all three together
+        _, (alone,), _ = mass._slice_defects(model, (axis,), L, spec)
+        assert float(wt @ alone) == term
 
 
-# default: 3 axes x (4 faces x 2 level blocks + 1 corner call);
-# SLICE_SPEC: 3 axes x (4 faces x 3 level blocks + 2 corner calls)
-@pytest.mark.parametrize("spec, calls", [(SPEC, 27), (SLICE_SPEC, 42)])
-def test_gauss_bonnet_jet_batches(monkeypatch, count_computations, spec, calls):
+def _counting_jets(monkeypatch):
+    """Sizes of every metric_jet call made through quad or mass."""
     sizes = []
-    inversions = count_computations("ginv")  # the SPD check and the inverse
 
     def counting_jet(model, points):
         sizes.append(np.asarray(points).size // 3)
         return metric.metric_jet(model, points)
 
-    monkeypatch.setattr(mass, "metric_jet", counting_jet)
+    for module in (quad, mass):
+        monkeypatch.setattr(module, "metric_jet", counting_jet)
+    return sizes
+
+
+# one jet per face, then the 4 corner lines of the 3 slice axes at the face nodes
+@pytest.mark.parametrize("spec", [SPEC, SLICE_SPEC], ids=["default", "slice_spec"])
+def test_gauss_bonnet_jet_batches(monkeypatch, count_computations, spec):
+    inversions = count_computations("ginv")  # the SPD check and the inverse
+    sizes = _counting_jets(monkeypatch)
     mass.gauss_bonnet_slice_mass(SCH, 50.0, spec)
-    assert len(sizes) == calls
-    assert max(sizes) <= spec.face_order ** 2
+    n = spec.face_order
+    assert sizes == [n * n] * 6 + [12 * n]
     # the corner jets are slices of one checked batch jet: no new inversions
-    assert len(inversions) == calls
+    assert len(inversions) == len(sizes)
 
 
 @pytest.mark.parametrize("estimator", [mass.gromov_cube_mass, mass.bartnik_sum_mass])
@@ -225,15 +240,10 @@ def test_bkks_evaluates_each_face_once(monkeypatch, model, axis):
 
     plus, minus = (quad.integrate_face(model, geom.FaceId(axis, sign), 30.0, laplacian,
                                        "euclidean", spec) for sign in (1, -1))
-    calls = []
-
-    def counting_jet(model, points):
-        calls.append(len(points))
-        return metric.metric_jet(model, points)
-
-    monkeypatch.setattr(quad, "metric_jet", counting_jet)
+    calls = _counting_jets(monkeypatch)
     est = mass.bkks_direction_mass(model, 30.0, axis, spec)
-    assert calls == [36] * 6
+    # the slice term reads the face jets; its corners are one jet of 4 lines
+    assert calls == [36] * 6 + [4 * 6]
     # same face order: the terms are the separate face integrals, bit for bit
     assert est.breakdown["gradient_flux_term"] == flux
     assert est.breakdown["correction_term"] == plus - minus
@@ -245,30 +255,26 @@ def test_estimators_read_no_ddg_and_christoffel_only_for_the_laplacian(count_com
                                                                        model, method):
     built = count_computations("ddg")
     gammas = count_computations("christoffel")
-    mass.estimate(model, method, 20.0, QuadratureSpec(4, 4, 4, 6), axis=1)
+    mass.estimate(model, method, 20.0, QuadratureSpec(4, 4), axis=1)
     assert built == []
     # bkks: Delta x^k on its two axis faces; curve_frame reads Gamma^m_jj itself
     assert len(gammas) == (2 if method == "bkks_direction" else 0)
 
 
-@pytest.mark.parametrize("estimate", [mass.bartnik_sum_mass, mass.gromov_cube_mass,
-                                      lambda model, L, spec: mass.bkks_direction_mass(
-                                          model, L, 1, spec)],
-                         ids=["bartnik_sum", "gromov", "bkks"])
+# after the 6 face jets: gromov's one jet of 12 edges, bkks's one jet of its
+# 4 slice corner lines
+@pytest.mark.parametrize("estimate, last_jets", [
+    (mass.bartnik_sum_mass, []), (mass.gromov_cube_mass, [12 * 4]),
+    (lambda model, L, spec: mass.bkks_direction_mass(model, L, 1, spec), [4 * 4])],
+    ids=["bartnik_sum", "gromov", "bkks"])
 def test_inverse_metric_derivative_computed_once_per_face_jet(monkeypatch, count_computations,
-                                                              estimate):
-    jets = []
+                                                              estimate, last_jets):
     derivatives = count_computations("dginv")
-
-    def counting_jet(model, points):
-        jets.append(len(points))
-        return metric.metric_jet(model, points)
-
-    monkeypatch.setattr(quad, "metric_jet", counting_jet)
+    jets = _counting_jets(monkeypatch)
     estimate(SCH, 20.0, QuadratureSpec(face_order=4, edge_order=4))
-    # every face jet needs d g^-1; the one jet of all 12 edges does not
+    # every face jet needs d g^-1; the edge and corner jets do not
     assert len(derivatives) == 6
-    assert jets == [16] * 6 + ([12 * 4] if estimate is mass.gromov_cube_mass else [])
+    assert jets == [16] * 6 + last_jets
 
 
 def test_slice_term_rejects_small_cube():

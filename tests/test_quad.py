@@ -9,7 +9,7 @@ from cubemass.quad import QuadratureSpec, gauss_nodes
 
 FLAT = metric.flat_model()
 SCH = metric.schwarzschild_model(1.0)
-SMALL = QuadratureSpec(face_order=16, edge_order=16, curve_order=16, slice_order=16)
+SMALL = QuadratureSpec(face_order=16, edge_order=16)
 
 
 def one(points, jets, *extra):
@@ -190,7 +190,7 @@ def test_conformal_slice_perimeter_matches_refinement():
     L, t = 8.0, 3.0
     coarse = quad.integrate_slice_curve(SCH, 1, t, L, one, "g", SMALL)
     fine = quad.integrate_slice_curve(SCH, 1, t, L, one, "g",
-                                      QuadratureSpec(curve_order=128))
+                                      QuadratureSpec(face_order=128))
     assert coarse == pytest.approx(fine, rel=1e-10)
 
 
@@ -220,8 +220,7 @@ def test_results_bitwise_deterministic():
 def test_doubling_orders_stays_within_declared_tolerance():
     from cubemass import mass
     base = QuadratureSpec()
-    doubled = QuadratureSpec(face_order=64, edge_order=64, curve_order=64,
-                             slice_order=96)
+    doubled = QuadratureSpec(64, 64)
     for model in (SCH, metric.pullback_model(tau=0.75)):
         a = mass.adm_flux_cube(model, 25.0, base).value
         b = mass.adm_flux_cube(model, 25.0, doubled).value
@@ -232,9 +231,9 @@ def test_doubling_orders_stays_within_declared_tolerance():
 
 
 def test_default_orders_match_the_previous_default():
-    # 24/24/24/36 sits at the round-off floor, like 32/32/32/48 before it
+    # 24/24 sits at the round-off floor, like 32/32 above it
     from cubemass import mass
-    previous = QuadratureSpec(32, 32, 32, 48)
+    previous = QuadratureSpec(32, 32)
     for model in (metric.pullback_model(tau=0.75), metric.composed_model()):
         for L in (25.0, 400.0):
             for method in mass.METHODS:
