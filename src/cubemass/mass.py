@@ -23,7 +23,6 @@ integral by construction.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -211,11 +210,11 @@ def slice_defect(model: MetricModel, axis: int, t: float, L: float,
     return 2.0 * math.pi - float(beta_total) - kappa_int
 
 
-def _slice_face(model, face, L, spec, axes, wt, rows):
-    """One face's jet, dropped on return: per slice level, the integral of
-    kappa ds along the face for each axis in axes (zero for the face's own
-    axis), and the Euclidean face integrals of ``rows(face)`` if given."""
-    pts, w, jets = quad.face_sample(model, face, L, spec)
+def _face_kappa(face, sample, axes, wt):
+    """Per slice level, Int kappa ds along one face for each axis in axes
+    (zero for the face's own axis), read on the face's ``quad.face_sample``:
+    by Fubini, one jet per face serves the kappa part of every slice axis."""
+    pts, _, jets = sample
     n = len(wt)
     kappa = np.zeros((len(axes), n))
     for k, axis in enumerate(axes):
@@ -226,37 +225,29 @@ def _slice_face(model, face, L, spec, axes, wt, rows):
         grid = (frame.kappa * np.sqrt(jets.g[..., d, d])).reshape(n, n)
         # the grid's rows are the nodes of in_face_axes[0]: put levels on rows
         kappa[k] = (grid if axis == face.in_face_axes[0] else grid.T) @ wt
-    if rows is None:
-        return kappa, None
-    return kappa, np.sum(w * np.asarray(rows(face)(pts, jets), dtype=float), axis=-1)
+    return kappa
 
 
-def _slice_defects(model, axes, L, spec, rows=None):
-    """Level weights and the slice defect 2 pi - beta(t) - Int kappa ds at
-    each level t, one row per axis in axes; a slice term is their product.
-
-    By Fubini, the beta part runs along the four cube edges parallel to the
-    axis and the kappa * sqrt(g_dd) part over the four side faces.  Levels
-    and curve nodes are the face rule's nodes, so one jet per face serves
-    every axis, and one more holds the corner lines of all the axes.  Also
-    returns the face integrals of ``rows(face)``, in ``geom.FACES`` order.
-    """
-    quad.require_cube(model, L)
-    t, wt = quad.gauss_nodes(spec.face_order, -L, L)
-    per_face = [_slice_face(model, face, L, spec, axes, wt, rows) for face in geom.FACES]
-    kappa = sum(face_kappa for face_kappa, _ in per_face)
+def _slice_defects(model, axes, L, t, kappa):
+    """The slice defect 2 pi - beta(t) - Int kappa ds at each level t, one
+    row per axis in axes, from the summed ``_face_kappa`` rows; the corner
+    lines of all the axes, along which beta runs, share one jet."""
     jets = metric_jet(model, np.stack([_corner_points(axis, t, L) for axis in axes]))
     beta = np.stack([geom.turning_angles([jets[k, c] for c in range(4)], axis, t).beta_total
                      for k, axis in enumerate(axes)])
     # combine per level before the t-sum: the three terms are O(L) each
     # while the defect is O(m), so summing them separately loses digits
-    return wt, 2.0 * math.pi - beta - kappa, [face_rows for _, face_rows in per_face]
+    return 2.0 * math.pi - beta - kappa
 
 
 def gauss_bonnet_slice_mass(model: MetricModel, L: float,
                             spec: QuadratureSpec = QuadratureSpec()) -> MassEstimate:
     """Mass as the integrated angle defect of coordinate-plane slices."""
-    wt, defects, _ = _slice_defects(model, (0, 1, 2), L, spec)
+    quad.require_cube(model, L)
+    t, wt = quad.gauss_nodes(spec.face_order, -L, L)  # slice levels: the face rule's nodes
+    kappa = sum(_face_kappa(face, quad.face_sample(model, face, L, spec), (0, 1, 2), wt)
+                for face in geom.FACES)
+    defects = _slice_defects(model, (0, 1, 2), L, t, kappa)
     terms = {f"slice_term_{axis + 1}": float(wt @ defects[axis]) for axis in range(3)}
     value = sum(terms.values()) / (8.0 * math.pi)
     return MassEstimate(method="gauss_bonnet_slices", L=float(L), value=value,
@@ -324,14 +315,17 @@ def bkks_direction_mass(model: MetricModel, L: float, axis: int,
     kappa and, on the axis faces, the (Euclidean-measure) Laplacian."""
     if axis not in (0, 1, 2):
         raise ValidationError("axis must be 0, 1 or 2")
-    wt, (defect,), face_rows = _slice_defects(model, (axis,), L, spec,
-                                              functools.partial(_bkks_integrand, axis))
-    slice_term = float(wt @ defect)
-    flux, laplacian = 0.0, {}
-    for face, rows in zip(geom.FACES, face_rows):
+    quad.require_cube(model, L)
+    t, wt = quad.gauss_nodes(spec.face_order, -L, L)  # slice levels: the face rule's nodes
+    kappa, flux, laplacian = 0, 0.0, {}
+    for face in geom.FACES:
+        sample = quad.face_sample(model, face, L, spec)
+        kappa = kappa + _face_kappa(face, sample, (axis,), wt)
+        rows = quad.integrate_sample(face, sample, _bkks_integrand(axis, face), "euclidean")
         flux += float(rows[0])
         if face.axis == axis:
             laplacian[face.sign] = float(rows[1])
+    slice_term = float(wt @ _slice_defects(model, (axis,), L, t, kappa)[0])
     correction = laplacian[1] - laplacian[-1]
     value = (flux + slice_term - correction) / (8.0 * math.pi)
     return MassEstimate(

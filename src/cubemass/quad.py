@@ -152,12 +152,7 @@ def integrate_face(model: MetricModel, face: geom.FaceId, L: float, f,
     the k integrals as an array, all from one jet evaluation.
     """
     _measure_ok(measure)
-    pts, w, jets = face_sample(model, face, L, spec)
-    vals = np.asarray(f(pts, jets), dtype=float)
-    if measure == "g":
-        vals = vals * geom.area_density(jets, face.axis)
-    total = np.sum(w * vals, axis=-1)
-    return float(total) if total.ndim == 0 else total
+    return integrate_sample(face, face_sample(model, face, L, spec), f, measure)
 
 
 def face_sample(model: MetricModel, face: geom.FaceId, L: float, spec: QuadratureSpec):
@@ -165,6 +160,16 @@ def face_sample(model: MetricModel, face: geom.FaceId, L: float, spec: Quadratur
     require_cube(model, L)
     pts, w = face_points(face, L, spec)
     return pts, w, metric_jet(model, pts)
+
+
+def integrate_sample(face: geom.FaceId, sample, f, measure: str):
+    """:func:`integrate_face` on a ``face_sample`` already taken."""
+    pts, w, jets = sample
+    vals = np.asarray(f(pts, jets), dtype=float)
+    if measure == "g":
+        vals = vals * geom.area_density(jets, face.axis)
+    total = np.sum(w * vals, axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def integrate_edges(model: MetricModel, L: float, f, measure: str = "g",

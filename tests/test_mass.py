@@ -147,13 +147,22 @@ def test_gauss_bonnet_flat_slice_defect_identically_zero():
 SLICE_SPEC = QuadratureSpec(face_order=6, edge_order=5)
 
 
+def _slice_defects(model, axes, L, spec):
+    """Level weights and per-level slice defects, read as the estimators read them."""
+    t, wt = quad.gauss_nodes(spec.face_order, -L, L)
+    kappa = sum(mass._face_kappa(face, quad.face_sample(model, face, L, spec), axes, wt)
+                for face in geom.FACES)
+    return wt, mass._slice_defects(model, axes, L, t, kappa)
+
+
 @pytest.mark.parametrize("model", [SCH, metric.pullback_model(0.75),
                                    metric.composed_model()],
                          ids=["schwarzschild", "pullback", "composed"])
 def test_slice_term_equals_per_level_integral(model):
     L, spec = 37.0, SLICE_SPEC
     levels, _ = quad.gauss_nodes(spec.face_order, -L, L)
-    wt, defects, _ = mass._slice_defects(model, (0, 1, 2), L, spec)
+    wt, defects = _slice_defects(model, (0, 1, 2), L, spec)
+    gauss_bonnet = mass.gauss_bonnet_slice_mass(model, L, spec).breakdown
     for axis in range(3):
         # level by level: a face grid read with levels and curve nodes
         # swapped integrates to the same term, so only this tells it apart
@@ -164,9 +173,12 @@ def test_slice_term_equals_per_level_integral(model):
             model, axis, L, lambda t: mass.slice_defect(model, axis, t, L, spec), spec)
         term = float(wt @ defects[axis])
         assert abs(term - per_level) <= 1e-12 * max(1.0, abs(per_level))
+        assert gauss_bonnet[f"slice_term_{axis + 1}"] == term
         # one axis alone reads the same face sample as all three together
-        _, (alone,), _ = mass._slice_defects(model, (axis,), L, spec)
+        _, (alone,) = _slice_defects(model, (axis,), L, spec)
         assert float(wt @ alone) == term
+        bkks = mass.bkks_direction_mass(model, L, axis, spec).breakdown
+        assert bkks[f"slice_term_{axis + 1}"] == term
 
 
 def _counting_jets(monkeypatch):
