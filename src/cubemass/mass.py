@@ -325,6 +325,7 @@ def bkks_direction_mass(model: MetricModel, L: float, axis: int,
         flux += float(rows[0])
         if face.axis == axis:
             laplacian[face.sign] = float(rows[1])
+        del sample  # one face jet alive at a time: drop it before the next is built
     slice_term = float(wt @ _slice_defects(model, (axis,), L, t, kappa)[0])
     correction = laplacian[1] - laplacian[-1]
     value = (flux + slice_term - correction) / (8.0 * math.pi)

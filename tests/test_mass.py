@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -259,6 +260,23 @@ def test_bkks_evaluates_each_face_once(monkeypatch, model, axis):
     # same face order: the terms are the separate face integrals, bit for bit
     assert est.breakdown["gradient_flux_term"] == flux
     assert est.breakdown["correction_term"] == plus - minus
+
+
+@pytest.mark.parametrize("method", ["gauss_bonnet_slices", "bkks_direction"])
+def test_slice_estimators_hold_one_jet_at_a_time(monkeypatch, method):
+    refs, alive = [], []
+
+    def tracking_jet(model, points):
+        alive.append(sum(ref() is not None for ref in refs))
+        jet = metric.metric_jet(model, points)
+        refs.append(weakref.ref(jet))
+        return jet
+
+    for module in (quad, mass):
+        monkeypatch.setattr(module, "metric_jet", tracking_jet)
+    mass.estimate(SCH, method, 30.0, QuadratureSpec(4, 4), axis=1)
+    # each face's jet is dropped before the next face's (or the corners') is built
+    assert alive == [0] * 7
 
 
 @pytest.mark.parametrize("model", [SCH, metric.composed_model()], ids=["sch", "composed"])
