@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 from .converge import ConvergenceReport, fit_rate, ladder_csv, run_ladder
 from .expr import Expression, ScalarJet2, derivative, eval_jet2, parse, to_source
 from .geom import (CurveFrame, EdgeFrame, EdgeId, FaceFrame, FaceId,
-                   TurningAngleSet, coordinate_gradient_jet, curvature,
-                   curve_frame, edge_frame, face_frame, inverse_and_christoffel,
+                   TurningAngleSet, coordinate_gradient_jet, curve_frame,
+                   edge_frame, face_frame, inverse_and_christoffel,
                    level_set_gauss_curvature, turning_angles)
 from .mass import (GromovDefect, MassEstimate, adm_flux_cube, adm_flux_sphere,
                    bartnik_gradient_integral, bartnik_sum_mass,

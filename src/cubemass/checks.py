@@ -18,7 +18,7 @@ import numpy as np
 from . import converge, expr, geom, mass, metric, quad, stern
 from .quad import QuadratureSpec
 
-_SMALL = QuadratureSpec(face_order=12, edge_order=12)
+_SMALL = QuadratureSpec(12)
 
 
 @dataclass
@@ -139,7 +139,7 @@ def check_schwarzschild_christoffel():
 def check_conformal_scalar_curvature():
     model = metric.conformal_model("1 + 0.2*exp(-r)", tau=1.0, inner_radius=0.5)
     p = np.array([1.0, 0.7, -0.4])
-    _, _, R = geom.curvature(metric.metric_jet(model, p))
+    _, _, R = metric.metric_jet(model, p).curvature
     r = np.linalg.norm(p)
     U = 1.0 + 0.2 * math.exp(-r)
     lap = 0.2 * math.exp(-r) * (1.0 - 2.0 / r)
@@ -151,7 +151,7 @@ def check_conformal_scalar_curvature():
 def check_pullback_riemann_vanishes():
     model = metric.pullback_model(tau=0.75)
     pts = np.array([[3.0, 1.0, -2.0], [10.0, 5.0, 2.0], [25.0, -3.0, 7.0]])
-    riem, _, _ = geom.curvature(metric.metric_jet(model, pts))
+    riem, _, _ = metric.metric_jet(model, pts).curvature
     worst = float(np.max(np.abs(riem)))
     return _result("pullback-riemann-vanishing", worst < 1e-9, f"max {worst:.2e}")
 
@@ -167,8 +167,7 @@ def check_conformal_angle_invariance():
         worst = max(worst, float(np.max(np.abs(frame.theta - 0.5 * math.pi))))
     pts = np.array([[L, L, 0.0], [-L, L, 0.0], [-L, -L, 0.0], [L, -L, 0.0]])
     jets = metric.metric_jet(model, pts)
-    corner = [geom.MetricJet2(jets.g[c], jets.dg[c], jets.ddg[c]) for c in range(4)]
-    angles = geom.turning_angles(corner, 2, 0.0)
+    angles = geom.turning_angles([jets[c] for c in range(4)], 2, 0.0)
     worst = max(worst, float(np.max(np.abs(angles.betas - 0.5 * math.pi))))
     return _result("conformal-angle-invariance", worst < 1e-10, f"max dev {worst:.2e}")
 

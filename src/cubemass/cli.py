@@ -106,7 +106,7 @@ def _given(**flags) -> dict:
 
 
 def _build_spec(args) -> QuadratureSpec:
-    return QuadratureSpec(face_order=args.face_order, edge_order=args.edge_order)
+    return QuadratureSpec(args.order)
 
 
 def _axis_index(args) -> int | None:

@@ -145,11 +145,6 @@ def inverse_and_christoffel(jet: MetricJet2):
     return jet.ginv, jet.christoffel
 
 
-def curvature(jet: MetricJet2):
-    """Riemann (1,3) tensor, Ricci tensor and scalar curvature (cached on the jet)."""
-    return jet.curvature
-
-
 # ---------------------------------------------------------------------------
 # faces
 # ---------------------------------------------------------------------------
@@ -315,7 +310,7 @@ def level_set_gauss_curvature(jet: MetricJet2, u: ScalarJet2,
     2 K = R - 2 Ric(n, n) + H_Sigma^2 - |A|^2 with n = grad(u)/|grad(u)|.
     """
     ginv, Gamma = inverse_and_christoffel(jet)
-    _, ricci, scalar = curvature(jet)
+    _, ricci, scalar = jet.curvature
     du = u.gradient
     grad_sq = np.einsum("...a,...ab,...b->...", du, ginv, du)
     w = np.sqrt(grad_sq)

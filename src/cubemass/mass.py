@@ -108,8 +108,7 @@ def adm_flux_sphere(model: MetricModel, radius: float,
     return MassEstimate(method="adm_sphere", L=float(radius),
                         value=total / (16.0 * math.pi),
                         breakdown={"face_term": total},
-                        quadrature=QuadratureSpec(face_order=max(2, int(angular_order)),
-                                                  edge_order=2),
+                        quadrature=QuadratureSpec(max(2, int(angular_order))),
                         measure="euclidean+coordinate-normal")
 
 
@@ -220,20 +219,23 @@ def _face_kappa(face, sample, axes, wt):
     for k, axis in enumerate(axes):
         if axis == face.axis:
             continue
-        d = 3 - axis - face.axis
         frame = geom.curve_frame(jets, axis, face, pts)
-        grid = (frame.kappa * np.sqrt(jets.g[..., d, d])).reshape(n, n)
+        grid = (frame.kappa * frame.length_density).reshape(n, n)
         # the grid's rows are the nodes of in_face_axes[0]: put levels on rows
         kappa[k] = (grid if axis == face.in_face_axes[0] else grid.T) @ wt
     return kappa
 
 
-def _slice_defects(model, axes, L, t, kappa):
+def _slice_defects(model, axes, L, spec, kappa):
     """The slice defect 2 pi - beta(t) - Int kappa ds at each level t, one
-    row per axis in axes, from the summed ``_face_kappa`` rows; the corner
-    lines of all the axes, along which beta runs, share one jet."""
-    jets = metric_jet(model, np.stack([_corner_points(axis, t, L) for axis in axes]))
-    beta = np.stack([geom.turning_angles([jets[k, c] for c in range(4)], axis, t).beta_total
+    row per axis in axes, from the summed ``_face_kappa`` rows.  The levels
+    are the edge nodes: beta reads the corners on one ``quad.edge_sample`` of
+    the four edges parallel to each axis, in ``geom.turning_angles``' order."""
+    edges = [geom.EdgeId(*(a for a in range(3) if a != axis), si, sj)
+             for axis in axes for si, sj in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
+    corners = quad.edge_sample(model, L, spec, edges)
+    beta = np.stack([geom.turning_angles([jets for _, _, jets in corners[4 * k:4 * k + 4]],
+                                         axis, corners[4 * k][0][:, axis]).beta_total
                      for k, axis in enumerate(axes)])
     # combine per level before the t-sum: the three terms are O(L) each
     # while the defect is O(m), so summing them separately loses digits
@@ -244,10 +246,10 @@ def gauss_bonnet_slice_mass(model: MetricModel, L: float,
                             spec: QuadratureSpec = QuadratureSpec()) -> MassEstimate:
     """Mass as the integrated angle defect of coordinate-plane slices."""
     quad.require_cube(model, L)
-    t, wt = quad.gauss_nodes(spec.face_order, -L, L)  # slice levels: the face rule's nodes
+    _, wt = quad.gauss_nodes(spec.order, -L, L)  # the rule along every face axis and edge
     kappa = sum(_face_kappa(face, quad.face_sample(model, face, L, spec), (0, 1, 2), wt)
                 for face in geom.FACES)
-    defects = _slice_defects(model, (0, 1, 2), L, t, kappa)
+    defects = _slice_defects(model, (0, 1, 2), L, spec, kappa)
     terms = {f"slice_term_{axis + 1}": float(wt @ defects[axis]) for axis in range(3)}
     value = sum(terms.values()) / (8.0 * math.pi)
     return MassEstimate(method="gauss_bonnet_slices", L=float(L), value=value,
@@ -316,7 +318,7 @@ def bkks_direction_mass(model: MetricModel, L: float, axis: int,
     if axis not in (0, 1, 2):
         raise ValidationError("axis must be 0, 1 or 2")
     quad.require_cube(model, L)
-    t, wt = quad.gauss_nodes(spec.face_order, -L, L)  # slice levels: the face rule's nodes
+    _, wt = quad.gauss_nodes(spec.order, -L, L)  # the rule along every face axis and edge
     kappa, flux, laplacian = 0, 0.0, {}
     for face in geom.FACES:
         sample = quad.face_sample(model, face, L, spec)
@@ -326,7 +328,7 @@ def bkks_direction_mass(model: MetricModel, L: float, axis: int,
         if face.axis == axis:
             laplacian[face.sign] = float(rows[1])
         del sample  # one face jet alive at a time: drop it before the next is built
-    slice_term = float(wt @ _slice_defects(model, (axis,), L, t, kappa)[0])
+    slice_term = float(wt @ _slice_defects(model, (axis,), L, spec, kappa)[0])
     correction = laplacian[1] - laplacian[-1]
     value = (flux + slice_term - correction) / (8.0 * math.pi)
     return MassEstimate(
@@ -367,7 +369,7 @@ def estimate(model: MetricModel, method: str, L: float,
     if method == "adm_cube":
         return adm_flux_cube(model, L, spec, measure)
     if method == "adm_sphere":
-        return adm_flux_sphere(model, L, angular_order=spec.face_order)
+        return adm_flux_sphere(model, L, angular_order=spec.order)
     if method == "gromov_cube":
         return gromov_cube_mass(model, L, spec)
     if method == "gauss_bonnet_slices":

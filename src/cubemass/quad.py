@@ -17,10 +17,10 @@ from . import geom
 from .errors import BadInterval, OutsideDomain, ValidationError
 from .metric import MetricModel, metric_jet
 
-#: Assumed error scale of the default orders, with a wide margin: on the
-#: built-in model families the 24/24 rules (faces and slices share one)
-#: are within 1.6e-14 of a 64/64/64/96 reference, independent of L, and
-#: doubling both orders moves the reported integrals by less than this
+#: Assumed error scale of the default order, with a wide margin: on the
+#: built-in model families the order-24 rule is within 1.7e-14 of an
+#: order-64 reference, independent of L, and doubling the order moves
+#: the reported integrals by less than this
 #: (asserted by tests).  It is not measured per run.  The convergence
 #: module treats errors below 100x this value as quadrature floor.
 DEFAULT_TOLERANCE = 1e-9
@@ -28,20 +28,17 @@ DEFAULT_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Legendre node counts per face side and per edge; slice levels
-    and slice-curve nodes use the face rule."""
+    """Gauss-Legendre node count of every 1-D rule on the cube: along each
+    face axis and edge, and across the slice levels, which are the edge nodes."""
 
-    face_order: int = 24
-    edge_order: int = 24
+    order: int = 24
 
     def __post_init__(self):
-        for name in ("face_order", "edge_order"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 2:
-                raise ValidationError(f"{name} must be an integer >= 2")
+        if not isinstance(self.order, (int, np.integer)) or self.order < 2:
+            raise ValidationError("order must be an integer >= 2")
 
     def describe(self) -> dict:
-        return {"face_order": self.face_order, "edge_order": self.edge_order}
+        return {"order": self.order}
 
 
 @lru_cache(maxsize=None)
@@ -77,18 +74,17 @@ def require_cube(model: MetricModel, L: float) -> None:
 
 def face_points(face: geom.FaceId, L: float, spec: QuadratureSpec):
     a, b = face.in_face_axes
-    xa, wa = gauss_nodes(spec.face_order, -L, L)
-    xb, wb = gauss_nodes(spec.face_order, -L, L)
-    A, B = np.meshgrid(xa, xb, indexing="ij")
+    x, w = gauss_nodes(spec.order, -L, L)
+    A, B = np.meshgrid(x, x, indexing="ij")
     pts = np.empty((A.size, 3))
     pts[:, face.axis] = face.sign * L
     pts[:, a] = A.ravel()
     pts[:, b] = B.ravel()
-    return pts, np.outer(wa, wb).ravel()
+    return pts, np.outer(w, w).ravel()
 
 
 def edge_points(edge: geom.EdgeId, L: float, spec: QuadratureSpec):
-    x, w = gauss_nodes(spec.edge_order, -L, L)
+    x, w = gauss_nodes(spec.order, -L, L)
     pts = np.empty((len(x), 3))
     pts[:, edge.axis_a] = edge.sign_a * L
     pts[:, edge.axis_b] = edge.sign_b * L
@@ -106,7 +102,7 @@ def slice_segments(axis: int, t: float, L: float, spec: QuadratureSpec):
     i, j = (a for a in range(3) if a != axis)
     path = ((geom.FaceId(i, 1), j), (geom.FaceId(j, 1), i),
             (geom.FaceId(i, -1), j), (geom.FaceId(j, -1), i))
-    x, w = gauss_nodes(spec.face_order, -L, L)
+    x, w = gauss_nodes(spec.order, -L, L)
     out = []
     for face, d in path:
         pts = np.empty((len(x), 3))
@@ -172,36 +168,43 @@ def integrate_sample(face: geom.FaceId, sample, f, measure: str):
     return float(total) if total.ndim == 0 else total
 
 
+def edge_sample(model: MetricModel, L: float, spec: QuadratureSpec,
+                edges=geom.EDGES) -> list:
+    """Nodes, weights and metric jet of each listed edge, in order: the one edge
+    layout.  Each edge's jet is a slice of one jet of all their nodes."""
+    require_cube(model, L)
+    layouts = [edge_points(edge, L, spec) for edge in edges]
+    jets = metric_jet(model, np.concatenate([pts for pts, _ in layouts]))
+    n = spec.order
+    return [(pts, w, jets[k * n:(k + 1) * n]) for k, (pts, w) in enumerate(layouts)]
+
+
 def integrate_edges(model: MetricModel, L: float, f, measure: str = "g",
                     spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Sum of integrals over the 12 cube edges, each counted once.
 
     f(points, jets, edge) -> values per node.  Any double counting a
     formula wants (e.g. summing over ordered face pairs) belongs to the
-    caller, not here.  The nodes of all 12 edges, in ``geom.EDGES``
-    order, share one jet evaluation; each edge's integral is the same
+    caller, not here.  The edges are read from one :func:`edge_sample`
+    and added in ``geom.EDGES`` order; each edge's integral is the same
     float as :func:`integrate_edge`'s.
     """
     _measure_ok(measure)
-    require_cube(model, L)
-    layouts = [edge_points(edge, L, spec) for edge in geom.EDGES]
-    jets = metric_jet(model, np.concatenate([pts for pts, _ in layouts]))
-    n = spec.edge_order
     total = 0.0
-    for k, (edge, (pts, w)) in enumerate(zip(geom.EDGES, layouts)):
-        total += _edge_integral(edge, pts, w, jets[k * n:(k + 1) * n], f, measure)
+    for edge, sample in zip(geom.EDGES, edge_sample(model, L, spec)):
+        total += _edge_integral(edge, sample, f, measure)
     return total
 
 
 def integrate_edge(model: MetricModel, edge: geom.EdgeId, L: float, f,
                    measure: str = "g", spec: QuadratureSpec = QuadratureSpec()) -> float:
     _measure_ok(measure)
-    require_cube(model, L)
-    pts, w = edge_points(edge, L, spec)
-    return _edge_integral(edge, pts, w, metric_jet(model, pts), f, measure)
+    (sample,) = edge_sample(model, L, spec, (edge,))
+    return _edge_integral(edge, sample, f, measure)
 
 
-def _edge_integral(edge: geom.EdgeId, pts, w, jets, f, measure: str) -> float:
+def _edge_integral(edge: geom.EdgeId, sample, f, measure: str) -> float:
+    pts, w, jets = sample
     vals = np.asarray(f(pts, jets, edge), dtype=float)
     if measure == "g":
         k = edge.direction
@@ -236,7 +239,7 @@ def integrate_slices(model: MetricModel, axis: int, L: float, F,
                      spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Outer rule over the slice level t in [-L, L]; F(t) -> value."""
     require_cube(model, L)
-    t_nodes, w = gauss_nodes(spec.face_order, -L, L)
+    t_nodes, w = gauss_nodes(spec.order, -L, L)
     total = 0.0
     for t, wt in zip(t_nodes, w):
         total += wt * float(F(float(t)))

@@ -164,7 +164,7 @@ def stern_residuals(model: MetricModel, u: HarmonicTestFunction, points,
 
     jets = metric_jet(model, pts)
     ginv, Gamma = geom.inverse_and_christoffel(jets)
-    _, _, scalar = geom.curvature(jets)
+    _, _, scalar = jets.curvature
     du = u.jet(pts)
     g1 = du.gradient
     grad_sq = np.einsum("...a,...ab,...b->...", g1, ginv, g1)

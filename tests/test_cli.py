@@ -306,7 +306,7 @@ def test_order_flags_default_to_the_quadrature_spec(command):
 
 @pytest.mark.parametrize("flag", ["--slice-order", "--curve-order"])
 def test_slice_orders_are_not_flags(capsys, flag):
-    # slice levels and curve nodes use the face rule
+    # slice levels and curve nodes use the one order
     code, out, err = run_cli(capsys, "estimate", "--metric", "flat", "--method",
                              "gauss-bonnet", "--L", "10", flag,
                              "36" if flag == "--slice-order" else "24")
@@ -314,11 +314,21 @@ def test_slice_orders_are_not_flags(capsys, flag):
     assert out == "" and flag in err
 
 
-def test_report_quadrature_block_has_the_face_and_edge_orders(capsys):
-    code, out, _ = run_cli(capsys, "estimate", "--metric", "flat",
-                           "--method", "gauss-bonnet", "--L", "10")
-    assert code == 0
-    assert json_out(out)["quadrature"] == {"face_order": 24, "edge_order": 24}
+def test_report_quadrature_block_has_the_order(capsys):
+    for extra, order in (((), 24), (("--order", "12"), 12)):
+        code, out, _ = run_cli(capsys, "estimate", "--metric", "flat",
+                               "--method", "gauss-bonnet", "--L", "10", *extra)
+        assert code == 0
+        assert json_out(out)["quadrature"] == {"order": order}
+
+
+@pytest.mark.parametrize("flag", ["--face-order", "--edge-order"])
+def test_face_and_edge_orders_are_not_flags(capsys, flag):
+    # one rule sets the faces, the edges and the slices
+    code, out, err = run_cli(capsys, "estimate", "--metric", "flat", "--method",
+                             "gauss-bonnet", "--L", "10", flag, "24")
+    assert code == 2
+    assert out == "" and flag in err
 
 
 # ---------------------------------------------------------------------------

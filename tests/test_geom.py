@@ -52,7 +52,7 @@ FRAME_CALLS = {
     "edge_frame": lambda jet: geom.edge_frame(jet, geom.EDGES[0], ORIGIN),
     "curve_frame": lambda jet: geom.curve_frame(jet, 2, geom.FACES[0], ORIGIN),
     "coordinate_gradient_jet": lambda jet: geom.coordinate_gradient_jet(jet, 0),
-    "curvature": lambda jet: geom.curvature(jet),
+    "curvature": lambda jet: jet.curvature,
     "turning_angles": lambda jet: geom.turning_angles([jet] * 4, 2, 0.0),
 }
 
@@ -85,13 +85,13 @@ def test_christoffel_symmetric_in_lower_indices():
 
 
 def test_curvature_flat_zero():
-    riem, ricci, scalar = geom.curvature(metric_jet(FLAT, np.array([1.0, 2.0, 3.0])))
+    riem, ricci, scalar = metric_jet(FLAT, np.array([1.0, 2.0, 3.0])).curvature
     assert not riem.any() and not ricci.any() and scalar == 0.0
 
 
 def test_schwarzschild_scalar_curvature_vanishes():
     pts = np.array([[5.0, 1.0, -2.0], [3.0, 3.0, 3.0], [10.0, -4.0, 0.5]])
-    _, _, scalar = geom.curvature(metric_jet(SCH, pts))
+    _, _, scalar = metric_jet(SCH, pts).curvature
     assert np.max(np.abs(scalar)) < 1e-9
 
 
@@ -100,7 +100,7 @@ def test_conformal_scalar_curvature_oracle():
     model = metric.conformal_model(f"1 + {a}*exp(-r)", tau=1.0, inner_radius=0.5)
     rng = np.random.default_rng(2)
     pts = rng.uniform(0.8, 4.0, size=(10, 3))
-    _, _, scalar = geom.curvature(metric_jet(model, pts))
+    _, _, scalar = metric_jet(model, pts).curvature
     r = np.linalg.norm(pts, axis=1)
     U = 1.0 + a * np.exp(-r)
     lap = a * np.exp(-r) * (1.0 - 2.0 / r)  # flat Laplacian of exp(-r)
@@ -111,7 +111,7 @@ def test_conformal_scalar_curvature_oracle():
 def test_ricci_symmetry_and_first_bianchi():
     model = metric.composed_model(1.0, tau_diffeo=0.75, amplitude=0.2)
     jet = metric_jet(model, np.array([6.0, -2.0, 3.0]))
-    riem, ricci, _ = geom.curvature(jet)
+    riem, ricci, _ = jet.curvature
     assert np.allclose(ricci, ricci.T, atol=1e-12)
     lowered = np.einsum("al,lbcd->abcd", jet.g, riem)
     assert np.allclose(lowered, -np.einsum("abcd->abdc", lowered), atol=1e-10)

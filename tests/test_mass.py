@@ -144,16 +144,18 @@ def test_gauss_bonnet_flat_slice_defect_identically_zero():
         assert mass.slice_defect(FLAT, 1, t, 10.0, SPEC) == 0.0
 
 
-#: face_order != edge_order, so corners placed at edge nodes fail
-SLICE_SPEC = QuadratureSpec(face_order=6, edge_order=5)
+#: a small odd order, not the default: ``slice_defect`` places each level's
+#: corners itself, so corners read from the wrong edges, or in the wrong
+#: traversal order, fail the level-by-level comparison below
+SLICE_SPEC = QuadratureSpec(5)
 
 
 def _slice_defects(model, axes, L, spec):
     """Level weights and per-level slice defects, read as the estimators read them."""
-    t, wt = quad.gauss_nodes(spec.face_order, -L, L)
+    _, wt = quad.gauss_nodes(spec.order, -L, L)
     kappa = sum(mass._face_kappa(face, quad.face_sample(model, face, L, spec), axes, wt)
                 for face in geom.FACES)
-    return wt, mass._slice_defects(model, axes, L, t, kappa)
+    return wt, mass._slice_defects(model, axes, L, spec, kappa)
 
 
 @pytest.mark.parametrize("model", [SCH, metric.pullback_model(0.75),
@@ -161,7 +163,7 @@ def _slice_defects(model, axes, L, spec):
                          ids=["schwarzschild", "pullback", "composed"])
 def test_slice_term_equals_per_level_integral(model):
     L, spec = 37.0, SLICE_SPEC
-    levels, _ = quad.gauss_nodes(spec.face_order, -L, L)
+    levels, _ = quad.gauss_nodes(spec.order, -L, L)
     wt, defects = _slice_defects(model, (0, 1, 2), L, spec)
     gauss_bonnet = mass.gauss_bonnet_slice_mass(model, L, spec).breakdown
     for axis in range(3):
@@ -195,16 +197,44 @@ def _counting_jets(monkeypatch):
     return sizes
 
 
-# one jet per face, then the 4 corner lines of the 3 slice axes at the face nodes
+# one jet per face, then the 4 corner edges of each of the 3 slice axes
 @pytest.mark.parametrize("spec", [SPEC, SLICE_SPEC], ids=["default", "slice_spec"])
 def test_gauss_bonnet_jet_batches(monkeypatch, count_computations, spec):
     inversions = count_computations("ginv")  # the SPD check and the inverse
     sizes = _counting_jets(monkeypatch)
     mass.gauss_bonnet_slice_mass(SCH, 50.0, spec)
-    n = spec.face_order
+    n = spec.order
     assert sizes == [n * n] * 6 + [12 * n]
     # the corner jets are slices of one checked batch jet: no new inversions
     assert len(inversions) == len(sizes)
+
+
+def _sorted_rows(points):
+    return points[np.lexsort(points.T[::-1])]
+
+
+@pytest.mark.parametrize("spec", [SPEC, SLICE_SPEC], ids=["default", "slice_spec"])
+def test_slice_corners_are_the_edge_nodes(monkeypatch, spec):
+    L, calls = 50.0, []
+
+    def recording_jet(model, points):
+        calls.append(np.array(points).reshape(-1, 3))
+        return metric.metric_jet(model, points)
+
+    for module in (quad, mass):
+        monkeypatch.setattr(module, "metric_jet", recording_jet)
+    mass.gromov_cube_mass(SCH, L, spec)
+    edges = _sorted_rows(calls[-1])
+    mass.gauss_bonnet_slice_mass(SCH, L, spec)
+    # gauss-bonnet's corner jet is gromov's edge jet, node for node
+    assert np.array_equal(_sorted_rows(calls[-1]), edges)
+    for axis in range(3):
+        mass.bkks_direction_mass(SCH, L, axis, spec)
+        # bkks reads the 4 edges parallel to its axis, and no other
+        i, j = (a for a in range(3) if a != axis)
+        parallel = edges[(np.abs(edges[:, i]) == L) & (np.abs(edges[:, j]) == L)]
+        assert len(parallel) == 4 * spec.order
+        assert np.array_equal(_sorted_rows(calls[-1]), parallel)
 
 
 @pytest.mark.parametrize("estimator", [mass.gromov_cube_mass, mass.bartnik_sum_mass])
@@ -219,14 +249,14 @@ def test_metric_checked_and_inverted_once_per_jet(monkeypatch, count_computation
 
     for module in (quad, mass):
         monkeypatch.setattr(module, "metric_jet", counting_jet)
-    estimator(SCH, 20.0, QuadratureSpec(face_order=4, edge_order=4))
+    estimator(SCH, 20.0, QuadratureSpec(4))
     assert len(jets) > 0
     assert len(inversions) == len(jets)
 
 
 @pytest.mark.parametrize("model", [SCH, metric.composed_model()], ids=["sch", "composed"])
 def test_bartnik_sum_evaluates_each_face_once(monkeypatch, model):
-    spec = QuadratureSpec(face_order=6)
+    spec = QuadratureSpec(6)
     per_axis = [mass.bartnik_gradient_integral(model, 30.0, axis, spec) for axis in range(3)]
     calls = []
 
@@ -245,7 +275,7 @@ def test_bartnik_sum_evaluates_each_face_once(monkeypatch, model):
 @pytest.mark.parametrize("model", [SCH, metric.composed_model()], ids=["sch", "composed"])
 @pytest.mark.parametrize("axis", range(3))
 def test_bkks_evaluates_each_face_once(monkeypatch, model, axis):
-    spec = QuadratureSpec(face_order=6)
+    spec = QuadratureSpec(6)
     flux = mass.bartnik_gradient_integral(model, 30.0, axis, spec)
 
     def laplacian(points, jets):
@@ -274,7 +304,7 @@ def test_slice_estimators_hold_one_jet_at_a_time(monkeypatch, method):
 
     for module in (quad, mass):
         monkeypatch.setattr(module, "metric_jet", tracking_jet)
-    mass.estimate(SCH, method, 30.0, QuadratureSpec(4, 4), axis=1)
+    mass.estimate(SCH, method, 30.0, QuadratureSpec(4), axis=1)
     # each face's jet is dropped before the next face's (or the corners') is built
     assert alive == [0] * 7
 
@@ -285,14 +315,14 @@ def test_estimators_read_no_ddg_and_christoffel_only_for_the_laplacian(count_com
                                                                        model, method):
     built = count_computations("ddg")
     gammas = count_computations("christoffel")
-    mass.estimate(model, method, 20.0, QuadratureSpec(4, 4), axis=1)
+    mass.estimate(model, method, 20.0, QuadratureSpec(4), axis=1)
     assert built == []
     # bkks: Delta x^k on its two axis faces; curve_frame reads Gamma^m_jj itself
     assert len(gammas) == (2 if method == "bkks_direction" else 0)
 
 
-# after the 6 face jets: gromov's one jet of 12 edges, bkks's one jet of its
-# 4 slice corner lines
+# after the 6 face jets: gromov's one jet of 12 edges, bkks's one jet of the
+# 4 edges parallel to its axis
 @pytest.mark.parametrize("estimate, last_jets", [
     (mass.bartnik_sum_mass, []), (mass.gromov_cube_mass, [12 * 4]),
     (lambda model, L, spec: mass.bkks_direction_mass(model, L, 1, spec), [4 * 4])],
@@ -301,7 +331,7 @@ def test_inverse_metric_derivative_computed_once_per_face_jet(monkeypatch, count
                                                               estimate, last_jets):
     derivatives = count_computations("dginv")
     jets = _counting_jets(monkeypatch)
-    estimate(SCH, 20.0, QuadratureSpec(face_order=4, edge_order=4))
+    estimate(SCH, 20.0, QuadratureSpec(4))
     # every face jet needs d g^-1; the edge and corner jets do not
     assert len(derivatives) == 6
     assert jets == [16] * 6 + last_jets

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubemass import expr, geom, metric
+from cubemass import expr, metric
 from cubemass.errors import DomainError, NotPositiveDefinite, OutsideDomain, ValidationError
 
 
@@ -121,7 +121,7 @@ def test_pullback_riemann_vanishes_downstream():
     rng = np.random.default_rng(5)
     pts = rng.uniform(3.0, 60.0, size=(12, 1)) * rng.normal(size=(12, 3))
     pts = pts / np.linalg.norm(pts, axis=1, keepdims=True) * rng.uniform(3, 60, size=(12, 1))
-    riem, _, scalar = geom.curvature(metric.metric_jet(model, pts))
+    riem, _, scalar = metric.metric_jet(model, pts).curvature
     assert np.max(np.abs(riem)) < 1e-9
     assert np.max(np.abs(scalar)) < 1e-9
 
@@ -540,7 +540,7 @@ def test_load_pullback_with_custom_displacement():
         "exact_mass": 0.0,
         "params": {"xi1": "0.1*r^(-0.75)*x", "xi2": "0.1*r^(-0.75)*y",
                    "xi3": "0.1*r^(-0.75)*z"}})
-    riem, _, _ = geom.curvature(metric.metric_jet(model, np.array([8.0, 1.0, -3.0])))
+    riem, _, _ = metric.metric_jet(model, np.array([8.0, 1.0, -3.0])).curvature
     assert np.max(np.abs(riem)) < 1e-10
 
 

@@ -9,7 +9,7 @@ from cubemass.quad import QuadratureSpec, gauss_nodes
 
 FLAT = metric.flat_model()
 SCH = metric.schwarzschild_model(1.0)
-SMALL = QuadratureSpec(face_order=16, edge_order=16)
+SMALL = QuadratureSpec(16)
 
 
 def one(points, jets, *extra):
@@ -60,7 +60,7 @@ def test_bad_interval():
 
 def test_spec_validation():
     with pytest.raises(ValidationError):
-        QuadratureSpec(face_order=1)
+        QuadratureSpec(1)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ def test_conformal_face_area_matches_refined_rule():
     face = geom.FaceId(0, 1)
     coarse = quad.integrate_face(SCH, face, L, one, "g", QuadratureSpec())
     fine = quad.integrate_face(SCH, face, L, one, "g",
-                               QuadratureSpec(face_order=96))
+                               QuadratureSpec(96))
     assert coarse == pytest.approx(fine, rel=1e-10)
     # and the g-measure really is the U^4 weight
     def u4(points, jets):
@@ -100,9 +100,9 @@ def test_expression_metric_face_integral_matches_fine_grid():
         return jets.dg[..., 1, 0, 1]  # d_y g_xy
 
     val = quad.integrate_face(model, face, L, f, "euclidean",
-                              QuadratureSpec(face_order=32))
+                              QuadratureSpec(32))
     ref = quad.integrate_face(model, face, L, f, "euclidean",
-                              QuadratureSpec(face_order=128))
+                              QuadratureSpec(128))
     assert val == pytest.approx(ref, rel=1e-8, abs=1e-12)
 
 
@@ -119,7 +119,7 @@ def test_flat_edge_lengths():
 def test_conformal_edge_length_matches_refinement():
     L = 6.0
     coarse = quad.integrate_edges(SCH, L, one, "g", SMALL)
-    fine = quad.integrate_edges(SCH, L, one, "g", QuadratureSpec(edge_order=128))
+    fine = quad.integrate_edges(SCH, L, one, "g", QuadratureSpec(128))
     assert coarse == pytest.approx(fine, rel=1e-10)
 
     # edge measure is U^2 ds0 for the conformal metric
@@ -154,7 +154,7 @@ _EDGE_MODELS = {
 @pytest.mark.parametrize("measure", ["g", "euclidean"])
 @pytest.mark.parametrize("name", sorted(_EDGE_MODELS))
 def test_edges_share_one_jet_and_equal_the_edge_by_edge_sum(monkeypatch, name, measure):
-    model, spec, L = _EDGE_MODELS[name](), QuadratureSpec(edge_order=7), 33.25
+    model, spec, L = _EDGE_MODELS[name](), QuadratureSpec(7), 33.25
     by_edge = 0.0
     for edge in geom.EDGES:
         by_edge += quad.integrate_edge(model, edge, L, _edge_deficit, measure, spec)
@@ -190,7 +190,7 @@ def test_conformal_slice_perimeter_matches_refinement():
     L, t = 8.0, 3.0
     coarse = quad.integrate_slice_curve(SCH, 1, t, L, one, "g", SMALL)
     fine = quad.integrate_slice_curve(SCH, 1, t, L, one, "g",
-                                      QuadratureSpec(face_order=128))
+                                      QuadratureSpec(128))
     assert coarse == pytest.approx(fine, rel=1e-10)
 
 
@@ -220,7 +220,7 @@ def test_results_bitwise_deterministic():
 def test_doubling_orders_stays_within_declared_tolerance():
     from cubemass import mass
     base = QuadratureSpec()
-    doubled = QuadratureSpec(64, 64)
+    doubled = QuadratureSpec(64)
     for model in (SCH, metric.pullback_model(tau=0.75)):
         a = mass.adm_flux_cube(model, 25.0, base).value
         b = mass.adm_flux_cube(model, 25.0, doubled).value
@@ -231,9 +231,9 @@ def test_doubling_orders_stays_within_declared_tolerance():
 
 
 def test_default_orders_match_the_previous_default():
-    # 24/24 sits at the round-off floor, like 32/32 above it
+    # order 24 sits at the round-off floor, like 32 above it
     from cubemass import mass
-    previous = QuadratureSpec(32, 32)
+    previous = QuadratureSpec(32)
     for model in (metric.pullback_model(tau=0.75), metric.composed_model()):
         for L in (25.0, 400.0):
             for method in mass.METHODS:

@@ -37,7 +37,7 @@ def test_traced_estimate_records_spans_and_restores_the_package():
     original = mass.metric_jet
     tracer = tracing.Tracer()
     model = metric.schwarzschild_model(1.0)
-    spec = QuadratureSpec(face_order=4, edge_order=4)
+    spec = QuadratureSpec(4)
     with tracer.active():
         traced = mass.estimate(model, "bkks_direction", 20.0, spec, axis=0)
     layers = tracing.summarize(tracer, 0, len(tracer.spans))
@@ -45,8 +45,8 @@ def test_traced_estimate_records_spans_and_restores_the_package():
     assert traced.value == mass.estimate(model, "bkks_direction", 20.0, spec, axis=0).value
     assert layers["metric.jet_calls"] > 0
     assert np.isfinite(layers["geom.coordinate_gradient_jet.self_s"])
-    # gauss-bonnet reads one jet per face plus one jet of the 12 slice corner
-    # lines, and each face serves its two slice axes
+    # gauss-bonnet reads one jet per face plus one jet of the 12 edges, its slice
+    # corners, and each face serves its two slice axes
     start = len(tracer.spans)
     with tracer.active():
         mass.estimate(model, "gauss_bonnet_slices", 20.0, spec)
