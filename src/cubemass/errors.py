@@ -35,6 +35,10 @@ class DomainError(CubeMassError):
     zero, fractional power of a non-positive base, ...)."""
 
 
+class NoSecondDerivatives(CubeMassError):
+    """Second derivatives read from a jet evaluated at first order."""
+
+
 class OutsideDomain(CubeMassError):
     """Point or cube size outside a model's declared valid chart."""
 

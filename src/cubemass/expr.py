@@ -6,7 +6,11 @@ derived radius ``r = sqrt(x^2 + y^2 + z^2)``, the arithmetic operators
 atan``.  Evaluation propagates (value, gradient, Hessian) together, so
 metric components written as expressions always come with the exact
 first and second coordinate derivatives the curvature kernel needs --
-no numerical differentiation anywhere.
+no numerical differentiation anywhere.  A caller that reads no second
+derivative, as every cube estimator does, evaluates at first order:
+(value, gradient) alone, by the same operations, so they are bitwise
+those of the second-order jet and the Hessian work, most of each
+product, is skipped (forward mode carries only the orders it reads).
 
 All jet arithmetic broadcasts over a batch of points, which is what
 makes quadrature over thousands of nodes cheap; a jet keeps the batch
@@ -22,11 +26,11 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, ExpressionSyntaxError, UnknownIdentifier
+from .errors import DomainError, ExpressionSyntaxError, NoSecondDerivatives, UnknownIdentifier
 
 VARIABLES = ("x", "y", "z", "r")
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "atan")
@@ -61,11 +65,19 @@ class ScalarJet2:
     so a strided view would move its results in the last bit.  The
     arithmetic below is closed to second order and keeps the Hessian
     exactly symmetric.
+
+    A first-order jet has ``d2 = None``: the arithmetic then carries the
+    value and gradient alone, by the same floating-point operations as
+    at second order, so they are bitwise those of the full jet.
     """
 
     value: np.ndarray
     d1: np.ndarray
-    d2: np.ndarray
+    d2: Optional[np.ndarray]
+
+    @property
+    def order(self) -> int:
+        return 1 if self.d2 is None else 2
 
     @property
     def gradient(self) -> np.ndarray:
@@ -73,6 +85,8 @@ class ScalarJet2:
 
     @property
     def hessian(self) -> np.ndarray:
+        if self.d2 is None:
+            raise NoSecondDerivatives("a first-order jet has no Hessian")
         return np.ascontiguousarray(np.moveaxis(self.d2, (0, 1), (-2, -1)))
 
     # -- ring operations ----------------------------------------------------
@@ -81,7 +95,7 @@ class ScalarJet2:
         other = _as_jet(other, self)
         return ScalarJet2(self.value + other.value,
                           self.d1 + other.d1,
-                          self.d2 + other.d2)
+                          None if self.d2 is None else self.d2 + other.d2)
 
     __radd__ = __add__
 
@@ -89,19 +103,21 @@ class ScalarJet2:
         other = _as_jet(other, self)
         return ScalarJet2(self.value - other.value,
                           self.d1 - other.d1,
-                          self.d2 - other.d2)
+                          None if self.d2 is None else self.d2 - other.d2)
 
     def __rsub__(self, other):
         return _as_jet(other, self).__sub__(self)
 
     def __neg__(self):
-        return ScalarJet2(-self.value, -self.d1, -self.d2)
+        return ScalarJet2(-self.value, -self.d1, None if self.d2 is None else -self.d2)
 
     def __mul__(self, other):
         other = _as_jet(other, self)
         av, bv = self.value, other.value
         grad = self.d1 * bv
         grad += other.d1 * av
+        if self.d2 is None:
+            return ScalarJet2(av * bv, grad, None)
         cross = self.d1[:, None] * other.d1[None, :]
         # group the symmetrized cross term so the sum stays bitwise symmetric
         hess = self.d2 * bv
@@ -129,40 +145,46 @@ class ScalarJet2:
 def _as_jet(x, like: ScalarJet2) -> ScalarJet2:
     if isinstance(x, ScalarJet2):
         return x
-    return jet_constant(float(x), np.shape(like.value))
+    return jet_constant(float(x), np.shape(like.value), like.order)
 
 
-def jet_constant(c, batch_shape=()):
+def jet_constant(c, batch_shape=(), order=2):
     return ScalarJet2(np.full(batch_shape, float(c)),
                       np.zeros((3,) + batch_shape),
-                      np.zeros((3, 3) + batch_shape))
+                      np.zeros((3, 3) + batch_shape) if order == 2 else None)
 
 
-def coordinate_jet(points, axis):
+def coordinate_jet(points, axis, order=2):
     """Jet of the coordinate function x^axis at ``points`` of shape (..., 3)."""
     pts = np.asarray(points, dtype=float)
     batch = pts.shape[:-1]
     grad = np.zeros((3,) + batch)
     grad[axis] = 1.0
-    return ScalarJet2(pts[..., axis].copy(), grad, np.zeros((3, 3) + batch))
+    return ScalarJet2(pts[..., axis].copy(), grad,
+                      np.zeros((3, 3) + batch) if order == 2 else None)
 
 
-def radius_jet(points):
+def radius_jet(points, order=2):
     """Jet of r = |x| at ``points``; the origin is outside the domain."""
     pts = np.asarray(points, dtype=float)
     r = np.sqrt(np.sum(pts * pts, axis=-1))
     if np.any(r == 0.0):
         raise DomainError("r is undefined at the coordinate origin")
     grad = batch_last(pts) / r
+    if order == 1:
+        return ScalarJet2(r, grad, None)
     hess = (identity_last(r.ndim) - grad[:, None] * grad[None, :]) / r
     return ScalarJet2(r, grad, hess)
 
 
 def _chain(u: ScalarJet2, f0, f1, f2) -> ScalarJet2:
-    """Compose u with a scalar function given f(u), f'(u), f''(u)."""
+    """Compose u with a scalar function given f(u), f'(u) and a callable
+    returning f''(u), which a first-order u never calls."""
     grad = f1 * u.d1
+    if u.d2 is None:
+        return ScalarJet2(np.asarray(f0), grad, None)
     outer = u.d1[:, None] * u.d1[None, :]
-    hess = f1 * u.d2 + f2 * outer
+    hess = f1 * u.d2 + f2() * outer
     return ScalarJet2(np.asarray(f0), grad, hess)
 
 
@@ -175,6 +197,8 @@ def jet_square(u: ScalarJet2) -> ScalarJet2:
     v = u.value
     grad = u.d1 * v
     grad += grad
+    if u.d2 is None:
+        return ScalarJet2(v * v, grad, None)
     hess = u.d2 * v
     hess += hess
     outer = u.d1[:, None] * u.d1[None, :]
@@ -188,25 +212,25 @@ def jet_reciprocal(u: ScalarJet2) -> ScalarJet2:
     if np.any(v == 0.0):
         raise DomainError("division by zero")
     inv = 1.0 / v
-    return _chain(u, inv, -inv * inv, 2.0 * inv ** 3)
+    return _chain(u, inv, -inv * inv, lambda: 2.0 * inv ** 3)
 
 
 def jet_ipow(u: ScalarJet2, n: int) -> ScalarJet2:
     v = u.value
     if n == 0:
-        return jet_constant(1.0, np.shape(v))
+        return jet_constant(1.0, np.shape(v), u.order)
     if n == 1:
-        return ScalarJet2(v.copy(), u.d1.copy(), u.d2.copy())
+        return ScalarJet2(v.copy(), u.d1.copy(), None if u.d2 is None else u.d2.copy())
     if n < 0 and np.any(v == 0.0):
         raise DomainError("zero raised to a negative power")
-    return _chain(u, v ** n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2))
+    return _chain(u, v ** n, n * v ** (n - 1), lambda: n * (n - 1) * v ** (n - 2))
 
 
 def jet_fpow(u: ScalarJet2, p: float) -> ScalarJet2:
     v = u.value
     if np.any(v <= 0.0):
         raise DomainError("fractional power of a non-positive base")
-    return _chain(u, v ** p, p * v ** (p - 1.0), p * (p - 1.0) * v ** (p - 2.0))
+    return _chain(u, v ** p, p * v ** (p - 1.0), lambda: p * (p - 1.0) * v ** (p - 2.0))
 
 
 def jet_pow(base: ScalarJet2, exponent: ScalarJet2) -> ScalarJet2:
@@ -216,23 +240,23 @@ def jet_pow(base: ScalarJet2, exponent: ScalarJet2) -> ScalarJet2:
 
 
 def jet_sin(u):
-    return _chain(u, np.sin(u.value), np.cos(u.value), -np.sin(u.value))
+    return _chain(u, np.sin(u.value), np.cos(u.value), lambda: -np.sin(u.value))
 
 
 def jet_cos(u):
-    return _chain(u, np.cos(u.value), -np.sin(u.value), -np.cos(u.value))
+    return _chain(u, np.cos(u.value), -np.sin(u.value), lambda: -np.cos(u.value))
 
 
 def jet_exp(u):
     e = np.exp(u.value)
-    return _chain(u, e, e, e)
+    return _chain(u, e, e, lambda: e)
 
 
 def jet_log(u):
     v = u.value
     if np.any(v <= 0.0):
         raise DomainError("log of a non-positive value")
-    return _chain(u, np.log(v), 1.0 / v, -1.0 / (v * v))
+    return _chain(u, np.log(v), 1.0 / v, lambda: -1.0 / (v * v))
 
 
 def jet_sqrt(u):
@@ -240,13 +264,13 @@ def jet_sqrt(u):
     if np.any(v <= 0.0):
         raise DomainError("sqrt of a non-positive value")
     s = np.sqrt(v)
-    return _chain(u, s, 0.5 / s, -0.25 / (v * s))
+    return _chain(u, s, 0.5 / s, lambda: -0.25 / (v * s))
 
 
 def jet_atan(u):
     v = u.value
     d = 1.0 + v * v
-    return _chain(u, np.arctan(v), 1.0 / d, -2.0 * v / (d * d))
+    return _chain(u, np.arctan(v), 1.0 / d, lambda: -2.0 * v / (d * d))
 
 
 _FUNCTION_JETS: dict[str, Callable[[ScalarJet2], ScalarJet2]] = {
@@ -501,7 +525,9 @@ class JetProgram:
     every division by ``v``, times ``u``, and ``u*u`` to one
     :func:`jet_square`.  An intermediate jet is dropped after its last consumer.
     Calling the program returns one jet per root; roots that are equal
-    share one jet, so treat the results as read-only.
+    share one jet, so treat the results as read-only.  ``order=1`` runs
+    the same instructions on first-order jets (``d2 = None``): values,
+    gradients and located errors are those of ``order=2``.
 
     Compiling walks each node object once, by identity, so a subtree that
     the roots reuse by reference costs one walk; the program is the one
@@ -509,7 +535,8 @@ class JetProgram:
     """
 
     def __init__(self, roots):
-        self._code = []      # (fn(points, *argument jets), argument slots)
+        self._code = []      # (fn, argument slots): fn(points, order) for a leaf,
+                             # else fn(*argument jets)
         self._slots = {}     # structural key -> slot
         self._compiled = {}  # id(node) -> slot
         roots = list(roots)  # keeps every node alive, so no id is reused
@@ -526,13 +553,15 @@ class JetProgram:
     def __len__(self) -> int:
         return len(self._code)
 
-    def __call__(self, points) -> list:
+    def __call__(self, points, order: int = 2) -> list:
         pts = np.asarray(points, dtype=float)
         if pts.shape[-1] != 3:
             raise ValueError("points must have a trailing axis of length 3")
+        if order not in (1, 2):
+            raise ValueError(f"jet order must be 1 or 2, got {order!r}")
         jets = [None] * len(self._code)
         for k, (fn, args, free) in enumerate(self._code):
-            jets[k] = fn(pts, *[jets[a] for a in args])
+            jets[k] = fn(*[jets[a] for a in args]) if args else fn(pts, order)
             for slot in free:
                 jets[slot] = None
         return [jets[slot] for slot in self._roots]
@@ -556,18 +585,18 @@ class JetProgram:
             # keyed by the bits, so that 0.0 and -0.0 stay distinct
             c = float(e.value)
             return self._push(("num", c.hex()),
-                              lambda pts: jet_constant(c, pts.shape[:-1]))
+                              lambda pts, order: jet_constant(c, pts.shape[:-1], order))
         if isinstance(e, Var):
             if e.name == "r":
-                return self._push("r", lambda pts: _in_context(e, radius_jet, pts))
+                return self._push("r", lambda pts, order: _in_context(e, radius_jet,
+                                                                     pts, order))
             axis = _AXIS_NAMES.index(e.name)
-            return self._push(e.name, lambda pts: coordinate_jet(pts, axis))
+            return self._push(e.name, lambda pts, order: coordinate_jet(pts, axis, order))
         if isinstance(e, Neg):
-            return self._push("neg", lambda pts, u: -u, self._emit(e.operand))
+            return self._push("neg", operator.neg, self._emit(e.operand))
         if isinstance(e, Call):
             f = _FUNCTION_JETS[e.func]
-            return self._push(e.func, lambda pts, u: _in_context(e, f, u),
-                              self._emit(e.arg))
+            return self._push(e.func, lambda u: _in_context(e, f, u), self._emit(e.arg))
         left = self._emit(e.left)
         if e.op == "^":
             # literal exponents keep integer powers valid for negative bases
@@ -575,23 +604,22 @@ class JetProgram:
             if lit is not None:
                 p = float(lit)
                 return self._push(("^", p.hex()),
-                                  lambda pts, u: _in_context(e, operator.pow, u, p), left)
-            return self._push("^", lambda pts, u, v: _in_context(e, jet_pow, u, v),
+                                  lambda u: _in_context(e, operator.pow, u, p), left)
+            return self._push("^", lambda u, v: _in_context(e, jet_pow, u, v),
                               left, self._emit(e.right))
         right = self._emit(e.right)
         if e.op == "/":
             # u/v is u * (1/v), as in ScalarJet2; divisions by one slot share
             # its reciprocal, which names the first of them in an error
-            right = self._push("1/", lambda pts, v: _in_context(e, jet_reciprocal, v),
-                               right)
+            right = self._push("1/", lambda v: _in_context(e, jet_reciprocal, v), right)
         elif e.op != "*":
             return self._push(e.op, _ARITHMETIC[e.op], left, right)
         if left == right:
-            return self._push("square", lambda pts, u: jet_square(u), left)
-        return self._push("*", lambda pts, u, v: u * v, left, right)
+            return self._push("square", lambda u: jet_square(u), left)
+        return self._push("*", operator.mul, left, right)
 
 
-_ARITHMETIC = {"+": lambda pts, u, v: u + v, "-": lambda pts, u, v: u - v}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub}
 
 
 def eval_jet2(e: Expression, points) -> ScalarJet2:

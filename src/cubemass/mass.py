@@ -97,7 +97,7 @@ def adm_flux_sphere(model: MetricModel, radius: float,
         raise OutsideDomain(f"sphere radius {radius} must be finite, positive and at "
                             f"least inner_radius = {model.inner_radius}")
     pts, w, normals = quad.sphere_points(radius, angular_order)
-    jets = metric_jet(model, pts)
+    jets = metric_jet(model, pts, order=1)
     vals = 0.0
     for k in range(3):
         inner = 0.0
@@ -201,7 +201,7 @@ def slice_defect(model: MetricModel, axis: int, t: float, L: float,
 
     The per-level reference for ``_slice_defects``, which the estimators
     integrate over all levels at once."""
-    jets = metric_jet(model, _corner_points(axis, t, L))
+    jets = metric_jet(model, _corner_points(axis, t, L), order=1)
     beta_total = geom.turning_angles([jets[c] for c in range(4)], axis, t).beta_total
     kappa_int = quad.integrate_slice_curve(
         model, axis, t, L, lambda pts, jets, face: geom.curve_frame(jets, axis, face, pts).kappa,

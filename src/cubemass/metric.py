@@ -2,7 +2,12 @@
 
 Every model produces, at any chart point, the metric components together
 with their exact first and second coordinate derivatives (a
-:class:`MetricJet2`).  Model kinds:
+:class:`MetricJet2`).  ``metric_jet(model, points, order=1)`` asks for
+the first derivatives alone: the cube estimators read only ``g`` and
+``dg`` (and ``ginv``, ``dginv`` and the Christoffels made from them), so
+they evaluate first-order jets, and the program-backed kinds below then
+skip every Hessian.  ``g`` and ``dg`` are bitwise those of the full jet.
+Model kinds:
 
 ``flat``
     The Euclidean metric.
@@ -24,7 +29,9 @@ The pullback kinds write each metric component as an expression built
 from the symbolically differentiated displacement, so ``dg`` and
 ``ddg`` are exact to roundoff; nothing is ever finite-differenced.  The
 pullback, composed and expression kinds compile their six components
-once, at construction, into one :class:`expr.JetProgram`.
+once, at construction, into one :class:`expr.JetProgram`; they honour
+``order=1``.  The closed-form kinds (flat and the built-in conformal
+factor) return their second derivatives at either order.
 """
 
 from __future__ import annotations
@@ -39,7 +46,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr
-from .errors import DomainError, NotPositiveDefinite, OutsideDomain, ValidationError
+from .errors import (DomainError, NoSecondDerivatives, NotPositiveDefinite, OutsideDomain,
+                     ValidationError)
 from .expr import Expression, ScalarJet2
 
 MODEL_KINDS = ("flat", "conformal", "diffeo_pullback_flat", "composed", "expression")
@@ -58,7 +66,10 @@ class MetricJet2:
     ``ddg`` is given either as that array or compactly: ``d2`` is a list
     of Hessians ``(..., 3, 3)`` and ``spread(d2)`` lays them out as
     ``ddg`` on first read.  Only the curvature tensors and the falloff
-    audit read ``ddg``, so the cube estimators never build it.
+    audit read ``ddg``.  A first-order jet (``metric_jet(..., order=1)``,
+    what the cube estimators evaluate) has neither, and reading ``ddg``
+    or ``curvature`` on it, or on a slice of it, raises
+    :class:`NoSecondDerivatives`.
     """
 
     def __init__(self, g, dg, ddg=None, *, d2=(), spread=None):
@@ -69,6 +80,9 @@ class MetricJet2:
 
     @cached_property
     def ddg(self) -> np.ndarray:
+        if self._spread is None:
+            raise NoSecondDerivatives("this metric jet is first order: evaluate it with "
+                                      "metric_jet(..., order=2) to read ddg or curvature")
         return self._spread(self.d2)
 
     @cached_property
@@ -172,7 +186,7 @@ class MetricModel:
     inner_radius: float
     exact_mass: Optional[float]
     params: dict
-    _jets: Callable[[np.ndarray], MetricJet2] = field(repr=False, compare=False)
+    _jets: Callable[[np.ndarray, int], MetricJet2] = field(repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -199,10 +213,11 @@ class MetricModel:
 # jet assembly helpers
 # ---------------------------------------------------------------------------
 
-def _assemble_components(program: expr.JetProgram, points: np.ndarray) -> MetricJet2:
+def _assemble_components(program: expr.JetProgram, points: np.ndarray,
+                         order: int) -> MetricJet2:
     """The jet from a program whose roots are g11 ... g33, then optionally
     a conformal factor, which must be positive."""
-    jets = program(points)
+    jets = program(points, order)
     if any(np.any(U.value <= 0.0) for U in jets[6:]):
         raise NotPositiveDefinite("conformal factor is not positive on the sample")
     batch = points.shape[:-1]
@@ -215,6 +230,8 @@ def _assemble_components(program: expr.JetProgram, points: np.ndarray) -> Metric
         g[..., j, i] = jet.value
         dg_last[:, i, j] = jet.d1
         dg_last[:, j, i] = jet.d1
+    if order == 1:
+        return MetricJet2(g, dg)
     hessians = [np.moveaxis(jet.d2, (0, 1), (-2, -1)) for jet in jets[:6]]
     return MetricJet2(g, dg, d2=hessians, spread=_spread_components)
 
@@ -235,10 +252,14 @@ def _conformal_components(U: ScalarJet2) -> MetricJet2:
     eye = np.eye(3)
     c3 = 4.0 * u ** 3
     d1 = c3 * U.d1
-    dd = (12.0 * u ** 2) * (U.d1[:, None] * U.d1[None, :]) + c3 * U.d2
+    if U.d2 is not None:
+        # formed before g and dg, so that its temporaries never coexist with them
+        dd = (12.0 * u ** 2) * (U.d1[:, None] * U.d1[None, :]) + c3 * U.d2
     # spread over (i, j) into batch-first C arrays, the MetricJet2 layout
     g = (u ** 4)[..., None, None] * eye
     dg = np.multiply(np.moveaxis(d1, 0, -1)[..., :, None, None], eye, order="C")
+    if U.d2 is None:
+        return MetricJet2(g, dg)
     return MetricJet2(g, dg, d2=[np.moveaxis(dd, (0, 1), (-2, -1))],
                       spread=_spread_conformal)
 
@@ -310,7 +331,7 @@ def _pullback_gram(xi: list) -> list:
 # ---------------------------------------------------------------------------
 
 def flat_model() -> MetricModel:
-    def jets(points):
+    def jets(points, order):
         batch = points.shape[:-1]
         return MetricJet2(np.broadcast_to(np.eye(3), batch + (3, 3)).copy(),
                           np.zeros(batch + (3, 3, 3)),
@@ -331,7 +352,7 @@ def schwarzschild_model(mass: float = 1.0, inner_radius: float | None = None) ->
     if inner_radius <= abs(mass) / 2.0:
         raise ValidationError("inner_radius must exceed |m|/2 so that U > 0")
 
-    def jets(points):
+    def jets(points, order):
         return _conformal_components(_schwarzschild_factor(points, mass))
 
     return MetricModel("conformal", 1.0, float(inner_radius), float(mass),
@@ -343,8 +364,8 @@ def conformal_model(factor, tau: float, inner_radius: float = 1.0,
     node = expr.ensure_expression(factor)
     program = expr.JetProgram([node])
 
-    def jets(points):
-        return _conformal_components(program(points)[0])
+    def jets(points, order):
+        return _conformal_components(program(points, order)[0])
 
     return MetricModel("conformal", float(tau), float(inner_radius), exact_mass,
                        {"factor": expr.to_source(node)}, jets)
@@ -411,18 +432,26 @@ def expression_model(components: dict, tau: float, inner_radius: float = 1.0,
 # evaluation
 # ---------------------------------------------------------------------------
 
-def metric_jet(model: MetricModel, points) -> MetricJet2:
-    """Evaluate the metric 2-jet at one point (3,) or a batch (..., 3)."""
+def metric_jet(model: MetricModel, points, order: int = 2) -> MetricJet2:
+    """Evaluate the metric 2-jet at one point (3,) or a batch (..., 3).
+
+    ``order=1`` asks for ``g`` and ``dg`` alone (see the module docstring).
+    Every derivative the jet carries must be finite.  So a Hessian that
+    overflows where ``g`` and ``dg`` are finite fails here at ``order=2``;
+    at ``order=1`` a program-backed model never evaluates it.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1] != 3:
         raise ValueError("points must have a trailing axis of length 3")
+    if order not in (1, 2):
+        raise ValueError(f"jet order must be 1 or 2, got {order!r}")
     radii = np.sqrt(np.sum(pts * pts, axis=-1))
     if model.inner_radius > 0.0 and np.any(radii < model.inner_radius * (1.0 - 1e-12)):
         raise OutsideDomain(
             f"point at radius {float(np.min(radii)):.6g} is inside "
             f"inner_radius={model.inner_radius:.6g}")
     with np.errstate(all="ignore"):
-        jet = model._jets(pts)
+        jet = model._jets(pts, order)
     if not all(np.isfinite(a).all() for a in (jet.g, jet.dg, *jet.d2)):
         raise DomainError("metric jet is not finite on the sample")
     jet.ginv  # a metric that is not SPD fails here, at evaluation

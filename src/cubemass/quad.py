@@ -3,7 +3,9 @@
 Tensor-product rules with fixed node ordering: for a given spec and
 model every integral is evaluated in one canonical order, so results are
 reproducible bit for bit run-to-run.  Integrands receive the whole node
-batch (points plus metric jets) in a single call.
+batch (points plus metric jets) in a single call.  The jets are first
+order (``metric_jet(..., order=1)``): every boundary integrand reads only
+``g``, ``dg`` and what the jet derives from them.
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ def face_sample(model: MetricModel, face: geom.FaceId, L: float, spec: Quadratur
     """Nodes, weights and metric jet of one face: the one face layout."""
     require_cube(model, L)
     pts, w = face_points(face, L, spec)
-    return pts, w, metric_jet(model, pts)
+    return pts, w, metric_jet(model, pts, order=1)
 
 
 def integrate_sample(face: geom.FaceId, sample, f, measure: str):
@@ -174,7 +176,7 @@ def edge_sample(model: MetricModel, L: float, spec: QuadratureSpec,
     layout.  Each edge's jet is a slice of one jet of all their nodes."""
     require_cube(model, L)
     layouts = [edge_points(edge, L, spec) for edge in edges]
-    jets = metric_jet(model, np.concatenate([pts for pts, _ in layouts]))
+    jets = metric_jet(model, np.concatenate([pts for pts, _ in layouts]), order=1)
     n = spec.order
     return [(pts, w, jets[k * n:(k + 1) * n]) for k, (pts, w) in enumerate(layouts)]
 
@@ -226,7 +228,7 @@ def integrate_slice_curve(model: MetricModel, axis: int, t: float, L: float, f,
         raise OutsideDomain(f"slice level {t} outside [-L, L]")
     total = 0.0
     for face, pts, w in slice_segments(axis, t, L, spec):
-        jets = metric_jet(model, pts)
+        jets = metric_jet(model, pts, order=1)
         vals = np.asarray(f(pts, jets, face), dtype=float)
         if measure == "g":
             d = 3 - axis - face.axis

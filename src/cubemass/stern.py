@@ -177,13 +177,14 @@ def stern_residuals(model: MetricModel, u: HarmonicTestFunction, points,
     K = geom.level_set_gauss_curvature(jets, du)
     rhs = (hess_sq + w ** 2 * (scalar - 2.0 * K)) / (2.0 * w)
 
-    # outer derivative of the exact gradient field of w: 6 shifted points
+    # outer derivative of the exact gradient field of w: 6 shifted points,
+    # whose metric jets need no second derivatives
     shifts = np.zeros((n, 6, 3))
     for axis in range(3):
         shifts[:, 2 * axis, axis] = h
         shifts[:, 2 * axis + 1, axis] = -h
     stencil = (pts[:, None, :] + shifts).reshape(-1, 3)
-    _, dw_s = _gradient_norm_field(metric_jet(model, stencil), u.jet(stencil))
+    _, dw_s = _gradient_norm_field(metric_jet(model, stencil, order=1), u.jet(stencil))
     dw_s = dw_s.reshape(n, 6, 3)
     fd_hess = np.empty((n, 3, 3))
     for axis in range(3):
@@ -213,7 +214,7 @@ def stern_residual(model: MetricModel, u: HarmonicTestFunction, point,
 def harmonicity_residual(model: MetricModel, u: HarmonicTestFunction, points):
     """|Delta_g u| from exact jets; an audit that the pair really is harmonic."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    jets = metric_jet(model, pts)
+    jets = metric_jet(model, pts, order=1)
     return np.abs(geom.laplace_beltrami(jets, u.jet(pts)))
 
 

@@ -166,6 +166,19 @@ def test_invalid_file_tau_or_inner_radius_exits_2(tmp_path, capsys, command, ove
 _FLAT_COMPONENTS = {"g11": "1", "g12": "0", "g13": "0", "g22": "1", "g23": "0", "g33": "1"}
 
 
+def test_estimate_of_a_model_whose_hessian_overflows_exits_0(tmp_path, capsys):
+    # g and dg are finite on the cube (x <= 3); the estimators never evaluate
+    # the Hessian, which overflows there, so it no longer makes the run exit 3
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"kind": "expression", "tau": 1.0, "inner_radius": 0.0,
+                                "params": {**_FLAT_COMPONENTS,
+                                           "g11": "1 + 1e-50*exp(1e200*(x - 4))"}}))
+    code, out, _ = run_cli(capsys, "estimate", "--metric", f"file:{path}",
+                           "--method", "gromov", "--L", "3")
+    assert code == 0
+    assert abs(json_out(out)["value"]) < 1e-12
+
+
 @pytest.mark.parametrize("cfg, key", [
     ({"kind": "conformal", "tau": 1.0, "params": {"factor": 5}}, "factor"),
     ({"kind": "diffeo_pullback_flat", "tau": 0.75,

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubemass import expr, metric
-from cubemass.errors import DomainError, ExpressionSyntaxError, UnknownIdentifier
+from cubemass.errors import (DomainError, ExpressionSyntaxError, NoSecondDerivatives,
+                             UnknownIdentifier)
 
 from _oracles import random_polynomial, richardson_gradient, richardson_hessian
 
@@ -181,7 +182,7 @@ def _bits(j):
     return [np.asarray(a).tobytes() for a in (j.value, j.gradient, j.hessian)]
 
 
-def _outcome(evaluate):
+def _outcome(evaluate, bits=_bits):
     """Bits of the jets, or the DomainError message.
 
     Random trees such as exp(exp(9)) overflow to inf or nan, which both
@@ -189,7 +190,7 @@ def _outcome(evaluate):
     """
     with np.errstate(all="ignore"):
         try:
-            return [_bits(j) for j in evaluate()]
+            return [bits(j) for j in evaluate()]
         except DomainError as err:
             return str(err)
 
@@ -254,7 +255,8 @@ def test_batch_last_arithmetic_equals_the_batch_first_formulas(batch, seed):
     a, b = _random_triple(rng, batch), _random_triple(rng, batch)
     assert _bits(_as_jet(a) * _as_jet(b)) == _triple_bits(_first_mul(a, b))
     f = [rng.normal(size=batch) for _ in range(3)]
-    assert _bits(expr._chain(_as_jet(a), *f)) == _triple_bits(_first_chain(a, *f))
+    assert (_bits(expr._chain(_as_jet(a), f[0], f[1], lambda: f[2]))
+            == _triple_bits(_first_chain(a, *f)))
     pts = rng.uniform(-5.0, 5.0, size=batch + (3,))
     assert _bits(expr.radius_jet(pts)) == _triple_bits(_first_radius(pts))
 
@@ -318,6 +320,58 @@ def test_program_over_several_roots_equals_each_root_alone(roots):
         assert together == failures[0]
     else:
         assert together == [o[0] for o in alone]
+
+
+def _first_order_bits(j):
+    """Bits of the value and gradient, and whether the jet carries a Hessian."""
+    return [np.asarray(j.value).tobytes(), j.gradient.tobytes(), j.d2 is None]
+
+
+@given(_ast_strategy())
+@settings(max_examples=150, deadline=None)
+def test_first_order_program_equals_second_order_and_the_tree_walk(node):
+    program = expr.JetProgram([node])
+    first = _outcome(lambda: program(FUZZ_POINTS, order=1), _first_order_bits)
+    second = _outcome(lambda: program(FUZZ_POINTS), _first_order_bits)
+    walked = _outcome(lambda: [_tree_walk(node, FUZZ_POINTS)], _first_order_bits)
+    if isinstance(walked, str):
+        assert isinstance(first, str) and first.startswith(walked + " in '")
+        assert second == first
+    else:
+        # bitwise the same values and gradients, and no Hessian at first order
+        assert [bits[:2] for bits in first] == [bits[:2] for bits in second]
+        assert [bits[:2] for bits in first] == [bits[:2] for bits in walked]
+        assert [bits[2] for bits in first] == [True]
+        assert [bits[2] for bits in second] == [False]
+
+
+@pytest.mark.parametrize("source, point, message", [
+    ("log(x - 100) + sqrt(x - 100)", (50.0, 0.0, 0.0),
+     "log of a non-positive value in 'log(x - 100.0)'"),
+    ("x/(y - 1.3) + z/(y - 1.3)", (0.7, 1.3, 2.1), "division by zero in 'x/(y - 1.3)'"),
+    ("x + 1/r", (0.0, 0.0, 0.0), "r is undefined at the coordinate origin in 'r'"),
+    ("(x - 0.7)^-2", (0.7, 1.3, 2.1),
+     "zero raised to a negative power in '(x - 0.7)^-2.0'"),
+    ("(x - 1)^0.5 + x", (0.7, 1.3, 2.1),
+     "fractional power of a non-positive base in '(x - 1.0)^0.5'"),
+    ("(x - 1)^y", (0.7, 1.3, 2.1),
+     "power with non-positive base and non-constant exponent in '(x - 1.0)^y'"),
+], ids=["log", "shared-reciprocal", "radius", "ipow", "fpow", "pow"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_a_located_domain_error_reads_the_same_at_both_orders(source, point, message,
+                                                              order):
+    with pytest.raises(DomainError) as err:
+        expr.JetProgram([expr.parse(source)])(np.array([point]), order)
+    assert str(err.value) == message
+
+
+def test_a_first_order_jet_has_no_hessian():
+    (jet,) = expr.JetProgram([expr.parse("sin(x)*r^2")])(FUZZ_POINTS, order=1)
+    assert jet.d2 is None and jet.order == 1
+    with pytest.raises(NoSecondDerivatives):
+        jet.hessian
+    with pytest.raises(ValueError, match="order must be 1 or 2"):
+        expr.JetProgram([expr.parse("x")])(FUZZ_POINTS, order=3)
 
 
 def test_first_failing_subtree_names_the_error():
@@ -388,8 +442,8 @@ def test_a_shared_reciprocal_names_the_first_division():
 def test_intermediate_jets_are_dropped_after_their_last_use(monkeypatch):
     refs, alive_at_sin = [], []
 
-    def radius(pts):
-        jet = expr.jet_constant(1.5, pts.shape[:-1])
+    def radius(pts, order):
+        jet = expr.jet_constant(1.5, pts.shape[:-1], order)
         refs.append(weakref.ref(jet))
         return jet
 
@@ -421,7 +475,7 @@ def test_metric_jet_runs_the_compiled_program(monkeypatch, build):
     assert derivative_calls  # the Jacobian is differentiated at construction
     derivative_calls.clear()
     monkeypatch.setattr(expr, "radius_jet",
-                        lambda pts: radius_calls.append(1) or real_radius(pts))
+                        lambda pts, order: radius_calls.append(1) or real_radius(pts, order))
     metric.metric_jet(model, np.random.default_rng(5).uniform(10.0, 50.0, (64, 3)))
     assert len(radius_calls) == 1
     assert derivative_calls == []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cubemass import geom, mass, metric, quad
+from cubemass.errors import DomainError
 from cubemass.quad import QuadratureSpec
 
 SPEC = QuadratureSpec()
@@ -184,13 +185,16 @@ def test_slice_term_equals_per_level_integral(model):
         assert bkks[f"slice_term_{axis + 1}"] == term
 
 
-def _counting_jets(monkeypatch):
-    """Sizes of every metric_jet call made through quad or mass."""
+def _counting_jets(monkeypatch, orders=None):
+    """Sizes of every metric_jet call made through quad or mass; the order
+    each call asks for is appended to ``orders`` when it is given."""
     sizes = []
 
-    def counting_jet(model, points):
+    def counting_jet(model, points, order=2):
         sizes.append(np.asarray(points).size // 3)
-        return metric.metric_jet(model, points)
+        if orders is not None:
+            orders.append(order)
+        return metric.metric_jet(model, points, order)
 
     for module in (quad, mass):
         monkeypatch.setattr(module, "metric_jet", counting_jet)
@@ -217,9 +221,9 @@ def _sorted_rows(points):
 def test_slice_corners_are_the_edge_nodes(monkeypatch, spec):
     L, calls = 50.0, []
 
-    def recording_jet(model, points):
+    def recording_jet(model, points, order=2):
         calls.append(np.array(points).reshape(-1, 3))
-        return metric.metric_jet(model, points)
+        return metric.metric_jet(model, points, order)
 
     for module in (quad, mass):
         monkeypatch.setattr(module, "metric_jet", recording_jet)
@@ -243,9 +247,9 @@ def test_metric_checked_and_inverted_once_per_jet(monkeypatch, count_computation
     jets = []
     inversions = count_computations("ginv")  # the SPD check and the inverse
 
-    def counting_jet(model, points):
+    def counting_jet(model, points, order=2):
         jets.append(len(points))
-        return metric.metric_jet(model, points)
+        return metric.metric_jet(model, points, order)
 
     for module in (quad, mass):
         monkeypatch.setattr(module, "metric_jet", counting_jet)
@@ -260,9 +264,9 @@ def test_bartnik_sum_evaluates_each_face_once(monkeypatch, model):
     per_axis = [mass.bartnik_gradient_integral(model, 30.0, axis, spec) for axis in range(3)]
     calls = []
 
-    def counting_jet(model, points):
+    def counting_jet(model, points, order=2):
         calls.append(len(points))
-        return metric.metric_jet(model, points)
+        return metric.metric_jet(model, points, order)
 
     monkeypatch.setattr(quad, "metric_jet", counting_jet)
     est = mass.bartnik_sum_mass(model, 30.0, spec)
@@ -296,9 +300,9 @@ def test_bkks_evaluates_each_face_once(monkeypatch, model, axis):
 def test_slice_estimators_hold_one_jet_at_a_time(monkeypatch, method):
     refs, alive = [], []
 
-    def tracking_jet(model, points):
+    def tracking_jet(model, points, order=2):
         alive.append(sum(ref() is not None for ref in refs))
-        jet = metric.metric_jet(model, points)
+        jet = metric.metric_jet(model, points, order)
         refs.append(weakref.ref(jet))
         return jet
 
@@ -335,6 +339,45 @@ def test_inverse_metric_derivative_computed_once_per_face_jet(monkeypatch, count
     # every face jet needs d g^-1; the edge and corner jets do not
     assert len(derivatives) == 6
     assert jets == [16] * 6 + last_jets
+
+
+# face jets of order 4 hold 16 nodes; the sphere rule of order 4 holds 32
+@pytest.mark.parametrize("model", [SCH, metric.composed_model()], ids=["sch", "composed"])
+@pytest.mark.parametrize("run, sizes", [
+    (lambda m, spec: mass.adm_flux_cube(m, 20.0, spec), [16] * 6),
+    (lambda m, spec: mass.adm_flux_sphere(m, 20.0, spec.order), [32]),
+    (lambda m, spec: mass.gromov_cube_mass(m, 20.0, spec), [16] * 6 + [12 * 4]),
+    (lambda m, spec: mass.gromov_defect(m, 20.0, spec), [16] * 6 + [12 * 4]),
+    (lambda m, spec: mass.gauss_bonnet_slice_mass(m, 20.0, spec), [16] * 6 + [12 * 4]),
+    (lambda m, spec: mass.bkks_direction_mass(m, 20.0, 2, spec), [16] * 6 + [4 * 4]),
+    (lambda m, spec: mass.bartnik_sum_mass(m, 20.0, spec), [16] * 6),
+    (lambda m, spec: mass.bartnik_gradient_integral(m, 20.0, 0, spec), [16] * 6),
+    (lambda m, spec: mass.slice_defect(m, 1, 3.5, 20.0, spec), [4] + [4] * 4),
+], ids=["adm", "adm_sphere", "gromov", "defect", "gauss_bonnet", "bkks", "bartnik_sum",
+        "bartnik_integral", "slice_defect"])
+def test_estimators_evaluate_first_order_jets(monkeypatch, model, run, sizes):
+    orders = []
+    calls = _counting_jets(monkeypatch, orders)
+    run(model, QuadratureSpec(4))
+    assert calls == sizes
+    assert orders == [1] * len(sizes)
+
+
+# g = delta and dg = 0 exactly for x < 4, where the Hessian of g11 is NaN (0 * inf)
+_OVERFLOWING_HESSIAN = {"g11": "1 + 1e-50*exp(1e200*(x - 4))", "g12": "0", "g13": "0",
+                        "g22": "1", "g23": "0", "g33": "1"}
+
+
+@pytest.mark.parametrize("method", mass.METHODS)
+def test_estimators_never_evaluate_an_overflowing_hessian(method):
+    model = metric.expression_model(_OVERFLOWING_HESSIAN, tau=1.0, inner_radius=0.0)
+    spec = QuadratureSpec(4)
+    face_nodes, _ = quad.face_points(geom.FaceId(0, 1), 3.0, spec)
+    with pytest.raises(DomainError, match="not finite"):
+        metric.metric_jet(model, face_nodes)  # the default order evaluates it
+    est = mass.estimate(model, method, 3.0, spec, axis=1)
+    assert abs(est.value) < 1e-12
+    assert all(abs(v) < 1e-12 for v in est.breakdown.values())
 
 
 def test_slice_term_rejects_small_cube():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubemass import expr, metric
-from cubemass.errors import DomainError, NotPositiveDefinite, OutsideDomain, ValidationError
+from cubemass.errors import (DomainError, NoSecondDerivatives, NotPositiveDefinite,
+                             OutsideDomain, ValidationError)
 
 
 ALL_MODELS = {
@@ -214,6 +215,42 @@ def test_non_finite_second_derivative_fails_at_evaluation():
          "g22": "1", "g23": "0", "g33": "1"}, tau=1.0, inner_radius=0.0)
     with pytest.raises(DomainError, match="not finite"):
         metric.metric_jet(model, np.array([[4.0, 1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("name", sorted(ALL_MODELS) + ["flat"])
+def test_first_order_jet_equals_the_second_order_one(name):
+    model = metric.flat_model() if name == "flat" else ALL_MODELS[name]()
+    pts = np.random.default_rng(11).uniform(3.0, 40.0, size=(5, 7, 3))
+    first, second = (metric.metric_jet(model, pts, order) for order in (1, 2))
+    for attr in ("g", "dg", "ginv", "dginv", "christoffel"):
+        assert getattr(first, attr).tobytes() == getattr(second, attr).tobytes(), attr
+
+
+@pytest.mark.parametrize("name", sorted(set(ALL_MODELS) - {"schwarzschild"}))  # program-backed
+@pytest.mark.parametrize("index", [None, 2, (slice(None), 0)], ids=str)
+def test_second_derivatives_of_a_first_order_jet_raise(name, index):
+    pts = np.random.default_rng(7).uniform(3.0, 9.0, size=(4, 5, 3))
+    jet = metric.metric_jet(ALL_MODELS[name](), pts, order=1)
+    part = jet if index is None else jet[index]
+    assert part.d2 == []
+    for attr in ("ddg", "curvature"):
+        with pytest.raises(NoSecondDerivatives, match="first order: evaluate it with "
+                                                      r"metric_jet\(\.\.\., order=2\)"):
+            getattr(part, attr)
+
+
+@pytest.mark.parametrize("name", ["schwarzschild", "flat"])
+def test_closed_form_models_keep_second_derivatives_at_first_order(name):
+    model = metric.flat_model() if name == "flat" else ALL_MODELS[name]()
+    pts = np.random.default_rng(3).uniform(3.0, 9.0, size=(6, 3))
+    first, second = (metric.metric_jet(model, pts, order) for order in (1, 2))
+    assert first.ddg.tobytes() == second.ddg.tobytes()
+
+
+@pytest.mark.parametrize("order", [0, 3, 1.5])
+def test_metric_jet_rejects_an_order_other_than_one_or_two(order):
+    with pytest.raises(ValueError, match="jet order must be 1 or 2"):
+        metric.metric_jet(metric.flat_model(), (1.0, 2.0, 3.0), order)
 
 
 # ---------------------------------------------------------------------------

@@ -160,9 +160,9 @@ def test_edges_share_one_jet_and_equal_the_edge_by_edge_sum(monkeypatch, name, m
         by_edge += quad.integrate_edge(model, edge, L, _edge_deficit, measure, spec)
     calls = []
 
-    def counting_jet(model, points):
+    def counting_jet(model, points, order=2):
         calls.append(len(points))
-        return metric.metric_jet(model, points)
+        return metric.metric_jet(model, points, order)
 
     monkeypatch.setattr(quad, "metric_jet", counting_jet)
     batched = quad.integrate_edges(model, L, _edge_deficit, measure, spec)

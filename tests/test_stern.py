@@ -97,9 +97,9 @@ def test_christoffel_computed_once_per_jet(monkeypatch, count_computations):
     real_jet = stern.metric_jet
     gammas = count_computations("christoffel")
 
-    def counting_jet(model, points):
+    def counting_jet(model, points, order=2):
         jets.append(len(points))
-        return real_jet(model, points)
+        return real_jet(model, points, order)
 
     monkeypatch.setattr(stern, "metric_jet", counting_jet)
     pts = np.array([[3.0, 2.0, -3.0], [4.0, 1.0, -2.0]])
@@ -175,3 +175,30 @@ def test_default_step_policy():
     # default step is eps^(1/3) * max(1, |p|): residual already tiny with it
     sample = stern.stern_residual(FLAT, stern.flat_monopole(), (3.0, 0.0, 0.0))
     assert abs(sample.residual) < 1e-9
+
+
+def test_stencil_and_harmonicity_jets_are_first_order(monkeypatch):
+    # the Schwarzschild slice written as an expression, so its jets honour the order
+    model = metric.conformal_model("1 + 0.5/r", tau=1.0)
+    u = stern.schwarzschild_radial(1.0)
+    pts = np.random.default_rng(4).uniform(3.0, 9.0, size=(20, 3))
+    real_jet, orders = stern.metric_jet, []
+
+    def recording_jet(model, points, order=2):
+        orders.append(order)
+        return real_jet(model, points, order)
+
+    monkeypatch.setattr(stern, "metric_jet", recording_jet)
+    first = stern.stern_residuals(model, u, pts)
+    first_harmonicity = stern.harmonicity_residual(model, u, pts)
+    # the centre jet reads curvature; the stencil and the Laplacian do not
+    assert orders == [2, 1, 1]
+    monkeypatch.setattr(stern, "metric_jet", lambda model, points, order=2:
+                        real_jet(model, points))
+    second = stern.stern_residuals(model, u, pts)
+    for a, b in zip(first[:3], second[:3]):
+        assert a.tobytes() == b.tobytes()
+    assert {k: v.tobytes() for k, v in first[3].items()} == \
+        {k: v.tobytes() for k, v in second[3].items()}
+    assert first_harmonicity.tobytes() == \
+        stern.harmonicity_residual(model, u, pts).tobytes()
