@@ -105,10 +105,6 @@ def _given(**flags) -> dict:
     return {name: value for name, value in flags.items() if value is not None}
 
 
-def _build_spec(args) -> QuadratureSpec:
-    return QuadratureSpec(args.order)
-
-
 def _axis_index(args) -> int | None:
     return None if args.axis is None else args.axis - 1
 
@@ -120,7 +116,7 @@ def _axis_index(args) -> int | None:
 def cmd_estimate(args) -> int:
     started = time.perf_counter()
     model = _build_model(args)
-    spec = _build_spec(args)
+    spec = QuadratureSpec(args.order)
     if args.L is None:
         raise ValidationError("--L is required for estimate")
     method = _METHOD_FLAGS[args.method]
@@ -158,7 +154,7 @@ def cmd_estimate(args) -> int:
 def cmd_converge(args) -> int:
     started = time.perf_counter()
     model = _build_model(args)
-    spec = _build_spec(args)
+    spec = QuadratureSpec(args.order)
     if not args.Ls:
         raise ValidationError("--Ls is required for converge")
     try:
@@ -269,8 +265,7 @@ def _add_estimator(p: argparse.ArgumentParser, ladder: bool):
         p.add_argument("--Ls", help="comma-separated increasing cube half-sides")
     else:
         p.add_argument("--L", type=float, help="cube half-side (sphere radius for adm-sphere)")
-    for name, order in QuadratureSpec().describe().items():
-        p.add_argument("--" + name.replace("_", "-"), type=int, default=order, dest=name)
+    p.add_argument("--order", type=int, default=QuadratureSpec().order)
     p.add_argument("--measure", choices=("g", "euclidean"), default="euclidean",
                    help="ADM flux measure policy (other estimators fix their own)")
 

@@ -42,16 +42,6 @@ _AXIS_NAMES = ("x", "y", "z")
 # Second-order jets
 # ---------------------------------------------------------------------------
 
-def batch_last(points) -> np.ndarray:
-    """Points (..., 3) as one C-contiguous coordinate array (3, ...)."""
-    return np.ascontiguousarray(np.moveaxis(np.asarray(points, dtype=float), -1, 0))
-
-
-def identity_last(batch_ndim: int) -> np.ndarray:
-    """The 3x3 identity shaped (3, 3, 1, ...) to broadcast over a trailing batch."""
-    return np.eye(3).reshape((3, 3) + (1,) * batch_ndim)
-
-
 @dataclass
 class ScalarJet2:
     """Value, gradient and symmetric Hessian of a scalar field.
@@ -170,10 +160,11 @@ def radius_jet(points, order=2):
     r = np.sqrt(np.sum(pts * pts, axis=-1))
     if np.any(r == 0.0):
         raise DomainError("r is undefined at the coordinate origin")
-    grad = batch_last(pts) / r
+    grad = np.ascontiguousarray(np.moveaxis(pts, -1, 0)) / r
     if order == 1:
         return ScalarJet2(r, grad, None)
-    hess = (identity_last(r.ndim) - grad[:, None] * grad[None, :]) / r
+    eye = np.eye(3).reshape((3, 3) + (1,) * r.ndim)  # broadcasts over the batch
+    hess = (eye - grad[:, None] * grad[None, :]) / r
     return ScalarJet2(r, grad, hess)
 
 

@@ -5,8 +5,8 @@ with their exact first and second coordinate derivatives (a
 :class:`MetricJet2`).  ``metric_jet(model, points, order=1)`` asks for
 the first derivatives alone: the cube estimators read only ``g`` and
 ``dg`` (and ``ginv``, ``dginv`` and the Christoffels made from them), so
-they evaluate first-order jets, and the program-backed kinds below then
-skip every Hessian.  ``g`` and ``dg`` are bitwise those of the full jet.
+they evaluate first-order jets, and the jet program then skips every
+Hessian.  ``g`` and ``dg`` are bitwise those of the full jet.
 Model kinds:
 
 ``flat``
@@ -25,13 +25,13 @@ Model kinds:
 ``expression``
     Six user expressions for the independent components of ``g``.
 
-The pullback kinds write each metric component as an expression built
-from the symbolically differentiated displacement, so ``dg`` and
-``ddg`` are exact to roundoff; nothing is ever finite-differenced.  The
-pullback, composed and expression kinds compile their six components
-once, at construction, into one :class:`expr.JetProgram`; they honour
-``order=1``.  The closed-form kinds (flat and the built-in conformal
-factor) return their second derivatives at either order.
+Every kind writes its six metric components, then any conformal factor
+that must stay positive, as expressions and compiles them once, at
+construction, into one :class:`expr.JetProgram`, so every jet comes from
+the one forward-mode evaluator and honours ``order=1``.  The pullback
+kinds build their components from the symbolically differentiated
+displacement, so ``dg`` and ``ddg`` are exact to roundoff; nothing is
+ever finite-differenced.
 """
 
 from __future__ import annotations
@@ -39,16 +39,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import expr
 from .errors import (DomainError, NoSecondDerivatives, NotPositiveDefinite, OutsideDomain,
                      ValidationError)
-from .expr import Expression, ScalarJet2
+from .expr import Expression
 
 MODEL_KINDS = ("flat", "conformal", "diffeo_pullback_flat", "composed", "expression")
 
@@ -63,8 +63,8 @@ class MetricJet2:
     ``dg``  -- (..., 3, 3, 3) with ``dg[..., k, i, j] = d_k g_ij``
     ``ddg`` -- (..., 3, 3, 3, 3) with ``ddg[..., k, l, i, j] = d_k d_l g_ij``
 
-    ``ddg`` is given either as that array or compactly: ``d2`` is a list
-    of Hessians ``(..., 3, 3)`` and ``spread(d2)`` lays them out as
+    ``ddg`` is given either as that array or compactly: ``d2`` is the
+    list of the Hessians ``(..., 3, 3)`` of g11 ... g33, laid out as
     ``ddg`` on first read.  Only the curvature tensors and the falloff
     audit read ``ddg``.  A first-order jet (``metric_jet(..., order=1)``,
     what the cube estimators evaluate) has neither, and reading ``ddg``
@@ -72,18 +72,22 @@ class MetricJet2:
     :class:`NoSecondDerivatives`.
     """
 
-    def __init__(self, g, dg, ddg=None, *, d2=(), spread=None):
+    def __init__(self, g, dg, ddg=None, *, d2=()):
         self.g, self.dg = g, dg
-        self.d2, self._spread = list(d2), spread
+        self.d2 = list(d2)
         if ddg is not None:
             self.__dict__["ddg"] = ddg
 
     @cached_property
     def ddg(self) -> np.ndarray:
-        if self._spread is None:
+        if not self.d2:
             raise NoSecondDerivatives("this metric jet is first order: evaluate it with "
                                       "metric_jet(..., order=2) to read ddg or curvature")
-        return self._spread(self.d2)
+        ddg = np.zeros(self.d2[0].shape[:-2] + (3, 3, 3, 3))
+        for (i, j), d in zip(_COMPONENT_INDEX, self.d2):
+            ddg[..., i, j] = d
+            ddg[..., j, i] = d
+        return ddg
 
     @cached_property
     def ginv(self) -> np.ndarray:
@@ -146,7 +150,7 @@ class MetricJet2:
             part = MetricJet2(self.g[index], self.dg[index], self.ddg[index])
         else:
             part = MetricJet2(self.g[index], self.dg[index],
-                              d2=[d[index] for d in self.d2], spread=self._spread)
+                              d2=[d[index] for d in self.d2])
         if "ginv" in self.__dict__:
             part.__dict__["ginv"] = self.ginv[index]
         return part
@@ -177,8 +181,9 @@ class MetricModel:
     """A named asymptotically flat metric with declared falloff rate.
 
     ``tau`` is the decay exponent of ``g - delta`` (must exceed 1/2),
-    ``exact_mass`` the analytically known total mass when available, and
-    ``inner_radius`` the radius inside which the chart is not used.
+    ``exact_mass`` the analytically known total mass when available,
+    ``inner_radius`` the radius inside which the chart is not used, and
+    ``program`` the compiled g11 ... g33, then any conformal factor.
     """
 
     kind: str
@@ -186,7 +191,7 @@ class MetricModel:
     inner_radius: float
     exact_mass: Optional[float]
     params: dict
-    _jets: Callable[[np.ndarray, int], MetricJet2] = field(repr=False, compare=False)
+    program: expr.JetProgram = field(repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -233,54 +238,7 @@ def _assemble_components(program: expr.JetProgram, points: np.ndarray,
     if order == 1:
         return MetricJet2(g, dg)
     hessians = [np.moveaxis(jet.d2, (0, 1), (-2, -1)) for jet in jets[:6]]
-    return MetricJet2(g, dg, d2=hessians, spread=_spread_components)
-
-
-def _spread_components(d2: list) -> np.ndarray:
-    """ddg from the Hessians of g11 ... g33."""
-    ddg = np.zeros(d2[0].shape[:-2] + (3, 3, 3, 3))
-    for (i, j), d in zip(_COMPONENT_INDEX, d2):
-        ddg[..., i, j] = d
-        ddg[..., j, i] = d
-    return ddg
-
-
-def _conformal_components(U: ScalarJet2) -> MetricJet2:
-    if np.any(U.value <= 0.0):
-        raise NotPositiveDefinite("conformal factor is not positive on the sample")
-    u = U.value
-    eye = np.eye(3)
-    c3 = 4.0 * u ** 3
-    d1 = c3 * U.d1
-    if U.d2 is not None:
-        # formed before g and dg, so that its temporaries never coexist with them
-        dd = (12.0 * u ** 2) * (U.d1[:, None] * U.d1[None, :]) + c3 * U.d2
-    # spread over (i, j) into batch-first C arrays, the MetricJet2 layout
-    g = (u ** 4)[..., None, None] * eye
-    dg = np.multiply(np.moveaxis(d1, 0, -1)[..., :, None, None], eye, order="C")
-    if U.d2 is None:
-        return MetricJet2(g, dg)
-    return MetricJet2(g, dg, d2=[np.moveaxis(dd, (0, 1), (-2, -1))],
-                      spread=_spread_conformal)
-
-
-def _spread_conformal(d2: list) -> np.ndarray:
-    """ddg = d_k d_l (U^4) delta_ij from the one Hessian of U^4."""
-    return np.multiply(d2[0][..., :, :, None, None], np.eye(3), order="C")
-
-
-def _schwarzschild_factor(points: np.ndarray, mass: float) -> ScalarJet2:
-    """Exact jet of U = 1 + m/(2r)."""
-    pts = np.asarray(points, dtype=float)
-    r2 = np.sum(pts * pts, axis=-1)
-    r = np.sqrt(r2)
-    q = 0.5 * mass
-    value = 1.0 + q / r
-    x, rb = expr.batch_last(pts), r[None]
-    grad = -q * x / rb ** 3
-    outer = x[:, None] * x[None, :]
-    hess = q * (3.0 * outer / rb ** 5 - expr.identity_last(r.ndim) / rb ** 3)
-    return ScalarJet2(value, grad, hess)
+    return MetricJet2(g, dg, d2=hessians)
 
 
 def _builtin_displacement(tau: float, amplitude: float, angular: float) -> list:
@@ -331,13 +289,19 @@ def _pullback_gram(xi: list) -> list:
 # ---------------------------------------------------------------------------
 
 def flat_model() -> MetricModel:
-    def jets(points, order):
-        batch = points.shape[:-1]
-        return MetricJet2(np.broadcast_to(np.eye(3), batch + (3, 3)).copy(),
-                          np.zeros(batch + (3, 3, 3)),
-                          d2=[np.zeros(batch + (3, 3))], spread=_spread_conformal)
+    program = expr.JetProgram([expr.Num(float(i == j)) for i, j in _COMPONENT_INDEX])
+    return MetricModel("flat", 1.0, 0.0, 0.0, {}, program)
 
-    return MetricModel("flat", 1.0, 0.0, 0.0, {}, jets)
+
+def _schwarzschild_factor_at(rho: Expression, mass: float) -> Expression:
+    """AST of U = m/(2 rho) + 1."""
+    return expr.BinOp("+", expr.BinOp("/", expr.Num(0.5 * mass), rho), expr.Num(1.0))
+
+
+def _conformal_program(U: Expression) -> expr.JetProgram:
+    """g = U^4 delta, then U, which metric_jet checks to be positive."""
+    U4, zero = expr.BinOp("^", U, expr.Num(4.0)), expr.Num(0.0)
+    return expr.JetProgram([U4, zero, zero, U4, zero, U4, U])
 
 
 def schwarzschild_model(mass: float = 1.0, inner_radius: float | None = None) -> MetricModel:
@@ -351,24 +315,16 @@ def schwarzschild_model(mass: float = 1.0, inner_radius: float | None = None) ->
         inner_radius = max(1.0, abs(mass))
     if inner_radius <= abs(mass) / 2.0:
         raise ValidationError("inner_radius must exceed |m|/2 so that U > 0")
-
-    def jets(points, order):
-        return _conformal_components(_schwarzschild_factor(points, mass))
-
+    program = _conformal_program(_schwarzschild_factor_at(expr.Var("r"), mass))
     return MetricModel("conformal", 1.0, float(inner_radius), float(mass),
-                       {"schwarzschild_mass": float(mass)}, jets)
+                       {"schwarzschild_mass": float(mass)}, program)
 
 
 def conformal_model(factor, tau: float, inner_radius: float = 1.0,
                     exact_mass: Optional[float] = None) -> MetricModel:
     node = expr.ensure_expression(factor)
-    program = expr.JetProgram([node])
-
-    def jets(points, order):
-        return _conformal_components(program(points, order)[0])
-
     return MetricModel("conformal", float(tau), float(inner_radius), exact_mass,
-                       {"factor": expr.to_source(node)}, jets)
+                       {"factor": expr.to_source(node)}, _conformal_program(node))
 
 
 def pullback_model(tau: float = 0.75, amplitude: float = 0.4, angular: float = 0.3,
@@ -383,7 +339,7 @@ def pullback_model(tau: float = 0.75, amplitude: float = 0.4, angular: float = 0
         xi, params = _user_displacement(displacement)
     program = expr.JetProgram(_pullback_gram(xi))
     return MetricModel("diffeo_pullback_flat", float(tau), float(inner_radius),
-                       0.0, params, partial(_assemble_components, program))
+                       0.0, params, program)
 
 
 def composed_model(mass: float = 1.0, tau_diffeo: float = 0.75, amplitude: float = 0.2,
@@ -405,12 +361,11 @@ def composed_model(mass: float = 1.0, tau_diffeo: float = 0.75, amplitude: float
         params = {"schwarzschild_mass": float(mass), **xi_params}
     # U = 1 + m/(2 rho) at the image point phi(x) = x + xi(x), rho = |phi|
     phi = [expr.BinOp("+", xi[m], expr.Var(name)) for m, name in enumerate("xyz")]
-    U = expr.BinOp("+", expr.BinOp("/", expr.Num(0.5 * mass),
-                                    expr.Call("sqrt", _dot(phi, phi))), expr.Num(1.0))
+    U = _schwarzschild_factor_at(expr.Call("sqrt", _dot(phi, phi)), mass)
     U4 = expr.BinOp("^", U, expr.Num(4.0))
     program = expr.JetProgram([expr.BinOp("*", U4, c) for c in _pullback_gram(xi)] + [U])
     return MetricModel("composed", min(1.0, float(tau_diffeo)), float(inner_radius),
-                       float(mass), params, partial(_assemble_components, program))
+                       float(mass), params, program)
 
 
 def expression_model(components: dict, tau: float, inner_radius: float = 1.0,
@@ -425,7 +380,7 @@ def expression_model(components: dict, tau: float, inner_radius: float = 1.0,
     params = {key: expr.to_source(node) for key, node in nodes.items()}
     program = expr.JetProgram(list(nodes.values()))
     return MetricModel("expression", float(tau), float(inner_radius), exact_mass,
-                       params, partial(_assemble_components, program))
+                       params, program)
 
 
 # ---------------------------------------------------------------------------
@@ -438,20 +393,23 @@ def metric_jet(model: MetricModel, points, order: int = 2) -> MetricJet2:
     ``order=1`` asks for ``g`` and ``dg`` alone (see the module docstring).
     Every derivative the jet carries must be finite.  So a Hessian that
     overflows where ``g`` and ``dg`` are finite fails here at ``order=2``;
-    at ``order=1`` a program-backed model never evaluates it.
+    at ``order=1`` it is never evaluated.  A point whose squared radius
+    overflows (coordinates beyond about 1e154) fails here at either order.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1] != 3:
         raise ValueError("points must have a trailing axis of length 3")
     if order not in (1, 2):
         raise ValueError(f"jet order must be 1 or 2, got {order!r}")
-    radii = np.sqrt(np.sum(pts * pts, axis=-1))
-    if model.inner_radius > 0.0 and np.any(radii < model.inner_radius * (1.0 - 1e-12)):
-        raise OutsideDomain(
-            f"point at radius {float(np.min(radii)):.6g} is inside "
-            f"inner_radius={model.inner_radius:.6g}")
     with np.errstate(all="ignore"):
-        jet = model._jets(pts, order)
+        radii = np.sqrt(np.sum(pts * pts, axis=-1))
+        if not np.isfinite(radii).all():
+            raise DomainError("the radius of a sample point is not finite")
+        if model.inner_radius > 0.0 and np.any(radii < model.inner_radius * (1.0 - 1e-12)):
+            raise OutsideDomain(
+                f"point at radius {float(np.min(radii)):.6g} is inside "
+                f"inner_radius={model.inner_radius:.6g}")
+        jet = _assemble_components(model.program, pts, order)
     if not all(np.isfinite(a).all() for a in (jet.g, jet.dg, *jet.d2)):
         raise DomainError("metric jet is not finite on the sample")
     jet.ginv  # a metric that is not SPD fails here, at evaluation

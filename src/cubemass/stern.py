@@ -5,7 +5,9 @@ For a harmonic function u on (M, g) with non-vanishing gradient,
     Delta |grad u| = (|Hess u|^2 + |grad u|^2 (R - 2 K)) / (2 |grad u|),
 
 where R is the scalar curvature and K the Gauss curvature of the level
-set through the point.  The right side is assembled exactly from jets;
+set through the point.  The harmonic functions are expressions compiled
+into a :class:`expr.JetProgram`, the evaluator the metric models use, so
+their jets are exact.  The right side is assembled exactly from jets;
 the left side needs third derivatives of u composed with derivatives of
 g, so it is measured by second-order central differences of the exact
 first-derivative field of w = |grad u| (six shifted points plus the
@@ -22,9 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import geom
+from . import expr, geom
 from .errors import DegenerateGradient, ValidationError
-from .expr import ScalarJet2, batch_last, identity_last
+from .expr import ScalarJet2
 from .metric import MetricModel, metric_jet
 
 #: Default relative step for the outer central difference.
@@ -42,73 +44,37 @@ class HarmonicTestFunction:
     jet: Callable[[np.ndarray], ScalarJet2] = field(repr=False, compare=False)
 
 
+def _compiled(name: str, params: dict, source: str) -> HarmonicTestFunction:
+    """The function of an expression, compiled once; its jets are second order."""
+    program = expr.JetProgram([expr.parse(source)])
+    return HarmonicTestFunction(name, params, lambda points: program(points)[0])
+
+
+def _dot_source(a: tuple) -> str:
+    """Source of a[0]*x + a[1]*y + a[2]*z."""
+    return " + ".join(f"{c!r}*{name}" for c, name in zip(a, "xyz"))
+
+
 def flat_linear(direction=(1.0, 0.0, 0.0)) -> HarmonicTestFunction:
-    a = np.asarray(direction, dtype=float)
-
-    def jet(points):
-        pts = np.asarray(points, dtype=float)
-        batch = pts.shape[:-1]
-        grad = np.broadcast_to(a.reshape((3,) + (1,) * len(batch)), (3,) + batch).copy()
-        return ScalarJet2(pts @ a, grad, np.zeros((3, 3) + batch))
-
-    return HarmonicTestFunction("flat_linear", {"direction": tuple(a)}, jet)
+    a = tuple(float(c) for c in direction)
+    return _compiled("flat_linear", {"direction": a}, _dot_source(a))
 
 
 def flat_monopole(center=(0.0, 0.0, 0.0)) -> HarmonicTestFunction:
-    c = np.asarray(center, dtype=float)
-
-    def jet(points):
-        d = np.asarray(points, dtype=float) - c
-        s2 = np.sum(d * d, axis=-1)
-        s = np.sqrt(s2)
-        value = 1.0 / s
-        d, sb = batch_last(d), s[None]
-        grad = -d / sb ** 3
-        outer = d[:, None] * d[None, :]
-        hess = 3.0 * outer / sb ** 5 - identity_last(s.ndim) / sb ** 3
-        return ScalarJet2(value, grad, hess)
-
-    return HarmonicTestFunction("flat_monopole", {"center": tuple(c)}, jet)
+    c = tuple(float(v) for v in center)
+    s2 = " + ".join(f"({name} - {v!r})^2" for v, name in zip(c, "xyz"))
+    return _compiled("flat_monopole", {"center": c}, f"1/sqrt({s2})")
 
 
 def flat_dipole(moment=(0.0, 0.0, 1.0)) -> HarmonicTestFunction:
-    d = np.asarray(moment, dtype=float)
-
-    def jet(points):
-        x = np.asarray(points, dtype=float)
-        r2 = np.sum(x * x, axis=-1)
-        r = np.sqrt(r2)
-        dx = x @ d
-        value = dx / r ** 3
-        x, rb = batch_last(x), r[None]
-        dl = d.reshape((3,) + (1,) * r.ndim)
-        grad = dl / rb ** 3 - 3.0 * dx * x / rb ** 5
-        xo = x[:, None] * x[None, :]
-        dsym = dl[:, None] * x[None, :] + x[:, None] * dl[None, :]
-        hess = (-3.0 * (dsym + dx * identity_last(r.ndim)) / rb ** 5
-                + 15.0 * dx * xo / rb ** 7)
-        return ScalarJet2(value, grad, hess)
-
-    return HarmonicTestFunction("flat_dipole", {"moment": tuple(d)}, jet)
+    d = tuple(float(v) for v in moment)
+    return _compiled("flat_dipole", {"moment": d}, f"({_dot_source(d)})/r^3")
 
 
 def schwarzschild_radial(mass: float = 1.0) -> HarmonicTestFunction:
     """u = -1/(r + m/2), harmonic for the conformal factor 1 + m/(2r)."""
-    q = 0.5 * mass
-
-    def jet(points):
-        x = np.asarray(points, dtype=float)
-        r = np.sqrt(np.sum(x * x, axis=-1))
-        s = r + q
-        value = -1.0 / s
-        x, rb, sb = batch_last(x), r[None], s[None]
-        grad = x / (rb * sb ** 2)
-        outer = x[:, None] * x[None, :]
-        hess = (-2.0 * outer / (sb ** 3 * rb ** 2)
-                + (identity_last(r.ndim) / rb - outer / rb ** 3) / sb ** 2)
-        return ScalarJet2(value, grad, hess)
-
-    return HarmonicTestFunction("schwarzschild_radial", {"mass": float(mass)}, jet)
+    return _compiled("schwarzschild_radial", {"mass": float(mass)},
+                     f"-1/(r + {0.5 * float(mass)!r})")
 
 
 BUILTIN_HARMONICS = {

@@ -289,6 +289,17 @@ def test_overflowing_file_model_is_numeric_failure(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", ["flat", "schwarzschild", "conformal", "pullback"])
+def test_cube_whose_squared_radius_overflows_is_numeric_failure(capsys, name):
+    # x^2 + y^2 + z^2 overflows at |x| = 1e155: one error line, no warning, no value
+    code, out, err = run_cli(capsys, "estimate", "--metric", name,
+                             "--method", "gromov", "--L", "1e155")
+    assert code == 3
+    assert err.startswith("numeric failure") and len(err.splitlines()) == 1
+    assert out == ""
+
+
 @pytest.mark.parametrize("radius", ["0.5", "nan"])
 def test_sphere_outside_chart_is_numeric_failure(capsys, radius):
     # schwarzschild has inner_radius 1, like the cube case --method adm --L 1.5
@@ -314,7 +325,7 @@ def test_threads_flag_is_rejected(capsys):
 @pytest.mark.parametrize("command", ["estimate", "converge"])
 def test_order_flags_default_to_the_quadrature_spec(command):
     args = cli.build_parser().parse_args([command])
-    assert cli._build_spec(args).describe() == QuadratureSpec().describe()
+    assert args.order == QuadratureSpec().order
 
 
 @pytest.mark.parametrize("flag", ["--slice-order", "--curve-order"])

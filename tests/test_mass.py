@@ -380,6 +380,16 @@ def test_estimators_never_evaluate_an_overflowing_hessian(method):
     assert all(abs(v) < 1e-12 for v in est.breakdown.values())
 
 
+@pytest.mark.parametrize("L", [1e103, 1e150])
+@pytest.mark.parametrize("method, axis", [("adm_cube", None), ("gromov_cube", None),
+                                          ("gauss_bonnet_slices", None),
+                                          ("bkks_direction", 0), ("bkks_direction", 2)])
+def test_schwarzschild_mass_on_cubes_where_r_cubed_overflows(method, axis, L):
+    # r^3 overflows beyond r ~ 1e102, yet m/r^2 and every flux stay finite
+    est = mass.estimate(SCH, method, L, SPEC, axis=axis)
+    assert est.value == pytest.approx(1.0, abs=1e-12)
+
+
 def test_slice_term_rejects_small_cube():
     from cubemass.errors import OutsideDomain
     with pytest.raises(OutsideDomain):

@@ -178,9 +178,7 @@ def test_default_step_policy():
 
 
 def test_stencil_and_harmonicity_jets_are_first_order(monkeypatch):
-    # the Schwarzschild slice written as an expression, so its jets honour the order
-    model = metric.conformal_model("1 + 0.5/r", tau=1.0)
-    u = stern.schwarzschild_radial(1.0)
+    model, u = SCH, stern.schwarzschild_radial(1.0)
     pts = np.random.default_rng(4).uniform(3.0, 9.0, size=(20, 3))
     real_jet, orders = stern.metric_jet, []
 
