@@ -18,7 +18,8 @@ from .geom import (CurveFrame, EdgeFrame, EdgeId, FaceFrame, FaceId,
                    level_set_gauss_curvature, turning_angles)
 from .mass import (GromovDefect, MassEstimate, adm_flux_cube, adm_flux_sphere,
                    bartnik_gradient_integral, bartnik_sum_mass,
-                   bkks_direction_mass, estimate, gauss_bonnet_slice_mass,
+                   bkks_direction_mass, estimate, estimate_ladder,
+                   gauss_bonnet_slice_mass,
                    gromov_cube_mass, gromov_defect)
 from .metric import (FalloffAudit, MetricJet2, MetricModel, composed_model,
                      conformal_model, expression_model, falloff_audit,

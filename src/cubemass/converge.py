@@ -75,6 +75,8 @@ def run_ladder(model: MetricModel, method: str, Ls, spec: QuadratureSpec = Quadr
                measure: str = "euclidean") -> ConvergenceReport:
     """Run one estimator over increasing cube sizes and fit the error decay.
 
+    The rungs share one walk of the boundary (``mass.estimate_ladder``).
+
     The reference mass is the model's exact mass when known, otherwise a
     single high-radius sphere flux (radius 10x the largest ladder size).
     That reference is biased: with errors decaying like L^-(2 tau - 1),
@@ -86,8 +88,8 @@ def run_ladder(model: MetricModel, method: str, Ls, spec: QuadratureSpec = Quadr
         raise ValidationError("a ladder needs at least four sizes")
     if any(b <= a for a, b in zip(Ls, Ls[1:])):
         raise ValidationError("ladder sizes must be strictly increasing")
-    estimates = [mass.estimate(model, method, L, spec, axis=axis, measure=measure).value
-                 for L in Ls]
+    estimates = [est.value for est in
+                 mass.estimate_ladder(model, method, Ls, spec, axis=axis, measure=measure)]
     if reference is None:
         reference = model.exact_mass
     if reference is None:

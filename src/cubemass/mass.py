@@ -13,6 +13,13 @@ the reported breakdown terms:
                                  - correction_term) / (8 pi)
 ``bartnik_sum``         value = gradient_flux_term / (16 pi)
 
+Every estimator takes a half-side L or a 1-D array of them, the rungs of
+a ladder.  An array is evaluated in one walk of the boundary: each face,
+and the edges, take one ``metric_jet`` call over every rung, and the
+estimate's L, value and terms are arrays over the rungs, which
+:func:`estimate_ladder` splits into one estimate per rung.  Each rung is
+the same float as the estimate at that half-side alone.
+
 Measure policy: the ADM flux uses the Euclidean area measure with the
 coordinate normal (the classical convention; the difference from the
 intrinsic measure is absorbed by the error term).  The curvature-based
@@ -29,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom, quad
-from .errors import OutsideDomain, ValidationError
+from .errors import CubeMassError, OutsideDomain, ValidationError
 from .metric import MetricModel, metric_jet
 from .quad import QuadratureSpec
 
@@ -45,6 +52,19 @@ class MassEstimate:
     breakdown: dict
     quadrature: QuadratureSpec
     measure: str
+
+
+def _estimate(method, L, value, breakdown, quadrature, measure) -> MassEstimate:
+    per_rung = quad.per_rung
+    return MassEstimate(method=method, L=per_rung(L), value=per_rung(value),
+                        breakdown={name: per_rung(term) for name, term in breakdown.items()},
+                        quadrature=quadrature, measure=measure)
+
+
+def _rule_sum(values, wt):
+    """Sum of wt * values along the last axis, per rung, in the order of the
+    1-D dot product ``wt @ values`` of one rung."""
+    return (values[..., None, :] @ wt[..., :, None])[..., 0, 0]
 
 
 @dataclass
@@ -76,7 +96,7 @@ def _adm_face_integrand(axis: int):
     return f
 
 
-def adm_flux_cube(model: MetricModel, L: float,
+def adm_flux_cube(model: MetricModel, L,
                   spec: QuadratureSpec = QuadratureSpec(),
                   measure: str = "euclidean") -> MassEstimate:
     """Coordinate flux of sum_j (g_ji,j - g_jj,i) over the six faces."""
@@ -84,18 +104,18 @@ def adm_flux_cube(model: MetricModel, L: float,
     for face in geom.FACES:
         total += face.sign * quad.integrate_face(
             model, face, L, _adm_face_integrand(face.axis), measure, spec)
-    return MassEstimate(method="adm_cube", L=float(L),
-                        value=total / (16.0 * math.pi),
-                        breakdown={"face_term": total}, quadrature=spec,
-                        measure=f"{measure}+coordinate-normal")
+    return _estimate("adm_cube", L, total / (16.0 * math.pi), {"face_term": total},
+                     spec, f"{measure}+coordinate-normal")
 
 
-def adm_flux_sphere(model: MetricModel, radius: float,
+def adm_flux_sphere(model: MetricModel, radius,
                     angular_order: int = 64) -> MassEstimate:
     """Same flux over a coordinate sphere; the cross-estimator reference."""
-    if not (math.isfinite(radius) and radius > 0.0 and radius >= model.inner_radius):
-        raise OutsideDomain(f"sphere radius {radius} must be finite, positive and at "
-                            f"least inner_radius = {model.inner_radius}")
+    for r in np.ravel(radius):
+        r = float(r)
+        if not (math.isfinite(r) and r > 0.0 and r >= model.inner_radius):
+            raise OutsideDomain(f"sphere radius {r} must be finite, positive and at "
+                                f"least inner_radius = {model.inner_radius}")
     pts, w, normals = quad.sphere_points(radius, angular_order)
     jets = metric_jet(model, pts, order=1)
     vals = 0.0
@@ -104,12 +124,10 @@ def adm_flux_sphere(model: MetricModel, radius: float,
         for j in range(3):
             inner = inner + jets.dg[..., j, j, k] - jets.dg[..., k, j, j]
         vals = vals + inner * normals[:, k]
-    total = float(np.sum(w * vals))
-    return MassEstimate(method="adm_sphere", L=float(radius),
-                        value=total / (16.0 * math.pi),
-                        breakdown={"face_term": total},
-                        quadrature=QuadratureSpec(max(2, int(angular_order))),
-                        measure="euclidean+coordinate-normal")
+    total = np.sum(w * vals, axis=-1)
+    return _estimate("adm_sphere", radius, total / (16.0 * math.pi), {"face_term": total},
+                     QuadratureSpec(max(2, int(angular_order))),
+                     "euclidean+coordinate-normal")
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +145,7 @@ def _edge_deficit(points, jets, edge):
     return 0.5 * math.pi - frame.theta
 
 
-def gromov_cube_mass(model: MetricModel, L: float,
+def gromov_cube_mass(model: MetricModel, L,
                      spec: QuadratureSpec = QuadratureSpec()) -> MassEstimate:
     """Mass from the face mean curvature and the edge normal-angle deficit.
 
@@ -140,12 +158,9 @@ def gromov_cube_mass(model: MetricModel, L: float,
         face_term += quad.integrate_face(model, face, L, _face_H(face), "g", spec)
     edge_term = quad.integrate_edges(model, L, _edge_deficit, "g", spec)
     edge_term_alpha = edge_term
-    return MassEstimate(method="gromov_cube", L=float(L),
-                        value=(-face_term + edge_term) / (8.0 * math.pi),
-                        breakdown={"face_term": face_term,
-                                   "edge_term": edge_term,
-                                   "edge_term_alpha": edge_term_alpha},
-                        quadrature=spec, measure="g")
+    return _estimate("gromov_cube", L, (-face_term + edge_term) / (8.0 * math.pi),
+                     {"face_term": face_term, "edge_term": edge_term,
+                      "edge_term_alpha": edge_term_alpha}, spec, "g")
 
 
 def gromov_defect(model: MetricModel, L: float,
@@ -214,15 +229,16 @@ def _face_kappa(face, sample, axes, wt):
     (zero for the face's own axis), read on the face's ``quad.face_sample``:
     by Fubini, one jet per face serves the kappa part of every slice axis."""
     pts, _, jets = sample
-    n = len(wt)
-    kappa = np.zeros((len(axes), n))
+    n = wt.shape[-1]
+    kappa = np.zeros((len(axes),) + wt.shape)
     for k, axis in enumerate(axes):
         if axis == face.axis:
             continue
         frame = geom.curve_frame(jets, axis, face, pts)
-        grid = (frame.kappa * frame.length_density).reshape(n, n)
+        grid = (frame.kappa * frame.length_density).reshape(wt.shape[:-1] + (n, n))
         # the grid's rows are the nodes of in_face_axes[0]: put levels on rows
-        kappa[k] = (grid if axis == face.in_face_axes[0] else grid.T) @ wt
+        levels = grid if axis == face.in_face_axes[0] else np.swapaxes(grid, -1, -2)
+        kappa[k] = (levels @ wt[..., None])[..., 0]
     return kappa
 
 
@@ -235,14 +251,14 @@ def _slice_defects(model, axes, L, spec, kappa):
              for axis in axes for si, sj in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
     corners = quad.edge_sample(model, L, spec, edges)
     beta = np.stack([geom.turning_angles([jets for _, _, jets in corners[4 * k:4 * k + 4]],
-                                         axis, corners[4 * k][0][:, axis]).beta_total
+                                         axis, corners[4 * k][0][..., axis]).beta_total
                      for k, axis in enumerate(axes)])
     # combine per level before the t-sum: the three terms are O(L) each
     # while the defect is O(m), so summing them separately loses digits
     return 2.0 * math.pi - beta - kappa
 
 
-def gauss_bonnet_slice_mass(model: MetricModel, L: float,
+def gauss_bonnet_slice_mass(model: MetricModel, L,
                             spec: QuadratureSpec = QuadratureSpec()) -> MassEstimate:
     """Mass as the integrated angle defect of coordinate-plane slices."""
     quad.require_cube(model, L)
@@ -250,10 +266,9 @@ def gauss_bonnet_slice_mass(model: MetricModel, L: float,
     kappa = sum(_face_kappa(face, quad.face_sample(model, face, L, spec), (0, 1, 2), wt)
                 for face in geom.FACES)
     defects = _slice_defects(model, (0, 1, 2), L, spec, kappa)
-    terms = {f"slice_term_{axis + 1}": float(wt @ defects[axis]) for axis in range(3)}
+    terms = {f"slice_term_{axis + 1}": _rule_sum(defects[axis], wt) for axis in range(3)}
     value = sum(terms.values()) / (8.0 * math.pi)
-    return MassEstimate(method="gauss_bonnet_slices", L=float(L), value=value,
-                        breakdown=terms, quadrature=spec, measure="g")
+    return _estimate("gauss_bonnet_slices", L, value, terms, spec, "g")
 
 
 # ---------------------------------------------------------------------------
@@ -270,29 +285,30 @@ def _gradient_flux_integrand(axes, face: geom.FaceId):
     return f
 
 
-def _gradient_fluxes(model: MetricModel, L: float, axes,
-                     spec: QuadratureSpec) -> list:
-    """Boundary flux of d_nu |grad x^k| for each k in axes, one jet per face.
+def _gradient_fluxes(model: MetricModel, L, axes,
+                     spec: QuadratureSpec) -> np.ndarray:
+    """Boundary flux of d_nu |grad x^k| for each k in axes, one jet per face,
+    as an array with one row per k.
 
     The g-measure is folded into the integrand, so the face integral
     itself is Euclidean.
     """
-    totals = np.zeros(len(axes))
+    totals = np.zeros((len(axes),) + np.shape(L))
     for face in geom.FACES:
         totals += quad.integrate_face(model, face, L, _gradient_flux_integrand(axes, face),
                                       "euclidean", spec)
-    return [float(t) for t in totals]
+    return totals
 
 
-def bartnik_gradient_integral(model: MetricModel, L: float, axis: int,
-                              spec: QuadratureSpec = QuadratureSpec()) -> float:
+def bartnik_gradient_integral(model: MetricModel, L, axis: int,
+                              spec: QuadratureSpec = QuadratureSpec()):
     """Flux of d_nu |grad x^axis| through the cube boundary (g-measure).
 
     One direction's contribution to the gradient-flux mass identity;
     sums to 16 pi m only when the coordinates are harmonic, and is
     otherwise reported as a diagnostic.
     """
-    return _gradient_fluxes(model, L, (axis,), spec)[0]
+    return quad.per_rung(_gradient_fluxes(model, L, (axis,), spec)[0])
 
 
 def _bkks_integrand(axis: int, face: geom.FaceId):
@@ -307,7 +323,7 @@ def _bkks_integrand(axis: int, face: geom.FaceId):
     return f
 
 
-def bkks_direction_mass(model: MetricModel, L: float, axis: int,
+def bkks_direction_mass(model: MetricModel, L, axis: int,
                         spec: QuadratureSpec = QuadratureSpec()) -> MassEstimate:
     """Single-direction mass: gradient flux plus slice defect, corrected
     by the Laplacian of the coordinate function when the chart is not
@@ -324,23 +340,21 @@ def bkks_direction_mass(model: MetricModel, L: float, axis: int,
         sample = quad.face_sample(model, face, L, spec)
         kappa = kappa + _face_kappa(face, sample, (axis,), wt)
         rows = quad.integrate_sample(face, sample, _bkks_integrand(axis, face), "euclidean")
-        flux += float(rows[0])
+        flux += rows[0]
         if face.axis == axis:
-            laplacian[face.sign] = float(rows[1])
+            laplacian[face.sign] = rows[1]
         del sample  # one face jet alive at a time: drop it before the next is built
-    slice_term = float(wt @ _slice_defects(model, (axis,), L, spec, kappa)[0])
+    slice_term = _rule_sum(_slice_defects(model, (axis,), L, spec, kappa)[0], wt)
     correction = laplacian[1] - laplacian[-1]
     value = (flux + slice_term - correction) / (8.0 * math.pi)
-    return MassEstimate(
-        method="bkks_direction", L=float(L), value=value,
-        breakdown={"gradient_flux_term": flux,
-                   f"slice_term_{axis + 1}": slice_term,
-                   "correction_term": correction,
-                   "uncorrected_value": (flux + slice_term) / (8.0 * math.pi)},
-        quadrature=spec, measure="g+euclidean-correction")
+    return _estimate("bkks_direction", L, value,
+                     {"gradient_flux_term": flux, f"slice_term_{axis + 1}": slice_term,
+                      "correction_term": correction,
+                      "uncorrected_value": (flux + slice_term) / (8.0 * math.pi)},
+                     spec, "g+euclidean-correction")
 
 
-def bartnik_sum_mass(model: MetricModel, L: float,
+def bartnik_sum_mass(model: MetricModel, L,
                      spec: QuadratureSpec = QuadratureSpec()) -> MassEstimate:
     """Sum of the three gradient fluxes over 16 pi.
 
@@ -353,19 +367,43 @@ def bartnik_sum_mass(model: MetricModel, L: float,
     breakdown = {"gradient_flux_term": total}
     for axis, fk in enumerate(fluxes):
         breakdown[f"gradient_flux_term_{axis + 1}"] = fk
-    return MassEstimate(method="bartnik_sum", L=float(L),
-                        value=total / (16.0 * math.pi), breakdown=breakdown,
-                        quadrature=spec, measure="g")
+    return _estimate("bartnik_sum", L, total / (16.0 * math.pi), breakdown, spec, "g")
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
-def estimate(model: MetricModel, method: str, L: float,
+def estimate_ladder(model: MetricModel, method: str, Ls,
+                    spec: QuadratureSpec = QuadratureSpec(), axis: int | None = None,
+                    measure: str = "euclidean") -> list:
+    """One estimate per half-side in Ls, from one :func:`estimate` over all
+    the rungs; each equals :func:`estimate` at its half-side alone.
+
+    A failure is the one that the first failing rung gives on its own,
+    as when the rungs are estimated one by one.
+    """
+    Ls = np.array(Ls, dtype=float, ndmin=1)
+    try:
+        est = estimate(model, method, Ls, spec, axis, measure)
+    except CubeMassError:
+        if len(Ls) > 1:
+            for L in Ls:
+                estimate(model, method, float(L), spec, axis, measure)
+        raise
+    return [MassEstimate(method=est.method, L=float(L), value=float(est.value[k]),
+                         breakdown={name: float(term[k]) for name, term in est.breakdown.items()},
+                         quadrature=est.quadrature, measure=est.measure)
+            for k, L in enumerate(Ls)]
+
+
+def estimate(model: MetricModel, method: str, L,
              spec: QuadratureSpec = QuadratureSpec(), axis: int | None = None,
              measure: str = "euclidean") -> MassEstimate:
-    """Run one estimator by method name (axis required for bkks_direction)."""
+    """Run one estimator by method name (axis required for bkks_direction).
+
+    At a 1-D array of half-sides the estimate's fields are arrays over the
+    rungs; :func:`estimate_ladder` splits them."""
     if method == "adm_cube":
         return adm_flux_cube(model, L, spec, measure)
     if method == "adm_sphere":

@@ -6,6 +6,13 @@ reproducible bit for bit run-to-run.  Integrands receive the whole node
 batch (points plus metric jets) in a single call.  The jets are first
 order (``metric_jet(..., order=1)``): every boundary integrand reads only
 ``g``, ``dg`` and what the jet derives from them.
+
+The cube layouts and integrators take a half-side L or a 1-D array of
+them, the rungs of a ladder.  An array adds a leading rung axis to the
+nodes, weights and jets, and the integrals come back as arrays over the
+rungs, so one ``metric_jet`` call per face (and one for the edges)
+serves every rung.  Each rung's integral is the same float as at that
+half-side alone.
 """
 
 from __future__ import annotations
@@ -16,15 +23,17 @@ from functools import lru_cache
 import numpy as np
 
 from . import geom
-from .errors import BadInterval, OutsideDomain, ValidationError
+from .errors import BadInterval, DomainError, OutsideDomain, ValidationError
 from .metric import MetricModel, metric_jet
 
 #: Assumed error scale of the default order, with a wide margin: on the
 #: built-in model families the order-24 rule is within 1.7e-14 of an
-#: order-64 reference, independent of L, and doubling the order moves
-#: the reported integrals by less than this
-#: (asserted by tests).  It is not measured per run.  The convergence
-#: module treats errors below 100x this value as quadrature floor.
+#: order-64 reference at L <= 400, and doubling the order moves the
+#: reported integrals by less than this (asserted by tests).  The
+#: truncation error does not depend on L, but the round-off of the angle
+#: deficits does: 7.5e-11 at L = 1e6.  It is not measured per run.  The
+#: convergence module treats errors below 100x this value as quadrature
+#: floor.
 DEFAULT_TOLERANCE = 1e-9
 
 
@@ -48,49 +57,63 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def gauss_nodes(n: int, a: float, b: float):
-    """Nodes and weights for the interval [a, b]; degree 2n-1 exactness."""
+def gauss_nodes(n: int, a, b):
+    """Nodes and weights for the interval [a, b]; degree 2n-1 exactness.
+
+    Arrays a and b of one shape give one rule per interval, stacked on
+    the leading axes."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError("node count must be a positive integer")
-    if not (np.isfinite(a) and np.isfinite(b)) or not a < b:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and (a < b).all()):
         raise BadInterval(f"bad interval [{a}, {b}]")
     x, w = _leggauss(int(n))
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    mid, half = (0.5 * (a + b))[..., None], (0.5 * (b - a))[..., None]
     return mid + half * x, half * w
 
 
-def require_cube(model: MetricModel, L: float) -> None:
+def require_cube(model: MetricModel, L) -> None:
     """Reject a cube half-side that is not finite, not positive, or reaches
-    into the model's excluded core (L < 2 * inner_radius)."""
-    if not np.isfinite(L) or L <= 0.0:
-        fault = "positive" if np.isfinite(L) else "finite"
-        raise OutsideDomain(f"cube half-side must be {fault}, got {L}")
-    if L < 2.0 * model.inner_radius:
-        raise OutsideDomain(
-            f"cube half-side {L} is below 2*inner_radius = {2 * model.inner_radius}")
+    into the model's excluded core (L < 2 * inner_radius); the rungs of an
+    array are checked in order."""
+    for half in np.ravel(L):
+        half = float(half)
+        if not np.isfinite(half) or half <= 0.0:
+            fault = "positive" if np.isfinite(half) else "finite"
+            raise OutsideDomain(f"cube half-side must be {fault}, got {half}")
+        if half < 2.0 * model.inner_radius:
+            raise OutsideDomain(
+                f"cube half-side {half} is below 2*inner_radius = {2 * model.inner_radius}")
 
 
 # ---------------------------------------------------------------------------
 # node layouts
 # ---------------------------------------------------------------------------
 
-def face_points(face: geom.FaceId, L: float, spec: QuadratureSpec):
+def face_points(face: geom.FaceId, L, spec: QuadratureSpec):
+    """Tensor-product nodes (..., n², 3) and weights (..., n²) of one face,
+    for half-sides L of shape (...); the second in-face axis runs fastest."""
     a, b = face.in_face_axes
-    x, w = gauss_nodes(spec.order, -L, L)
-    A, B = np.meshgrid(x, x, indexing="ij")
-    pts = np.empty((A.size, 3))
-    pts[:, face.axis] = face.sign * L
-    pts[:, a] = A.ravel()
-    pts[:, b] = B.ravel()
-    return pts, np.outer(w, w).ravel()
+    L = np.asarray(L, dtype=float)
+    n = spec.order
+    x, w = gauss_nodes(n, -L, L)
+    pts = np.empty(L.shape + (n, n, 3))
+    pts[..., face.axis] = face.sign * L[..., None, None]
+    pts[..., a] = x[..., :, None]
+    pts[..., b] = x[..., None, :]
+    return (pts.reshape(L.shape + (n * n, 3)),
+            (w[..., :, None] * w[..., None, :]).reshape(L.shape + (n * n,)))
 
 
-def edge_points(edge: geom.EdgeId, L: float, spec: QuadratureSpec):
+def edge_points(edge: geom.EdgeId, L, spec: QuadratureSpec):
+    """Nodes (..., n, 3) and weights (..., n) of one edge, for half-sides L
+    of shape (...)."""
+    L = np.asarray(L, dtype=float)
     x, w = gauss_nodes(spec.order, -L, L)
-    pts = np.empty((len(x), 3))
-    pts[:, edge.axis_a] = edge.sign_a * L
-    pts[:, edge.axis_b] = edge.sign_b * L
-    pts[:, edge.direction] = x
+    pts = np.empty(x.shape + (3,))
+    pts[..., edge.axis_a] = edge.sign_a * L[..., None]
+    pts[..., edge.axis_b] = edge.sign_b * L[..., None]
+    pts[..., edge.direction] = x
     return pts, w
 
 
@@ -115,22 +138,30 @@ def slice_segments(axis: int, t: float, L: float, spec: QuadratureSpec):
     return out
 
 
-def sphere_points(radius: float, order: int):
+def sphere_points(radius, order: int):
     """Product rule on a coordinate sphere: Gauss in cos(theta), uniform phi.
 
-    Returns points, weights (absorbing radius^2) and Euclidean unit
-    normals.
+    Returns points (..., M, 3), weights (..., M) absorbing radius^2, and
+    the Euclidean unit normals (M, 3), for radii of shape (...).  A radius
+    whose square overflows fails like a cube point beyond about 1.3e154.
     """
-    if radius <= 0.0:
+    radius = np.asarray(radius, dtype=float)
+    if np.any(radius <= 0.0):
         raise BadInterval("sphere radius must be positive")
+    with np.errstate(over="ignore"):
+        # a float64 scalar's ** is libm's pow, as a Python float's: an array's
+        # ** 2 rounds r * r, which differs from it in the last bit for some r
+        area = np.array([r ** 2 for r in radius.ravel()]).reshape(radius.shape)
+    if not np.isfinite(area).all():
+        raise DomainError("the radius of a sample point is not finite")
     mu, wmu = gauss_nodes(order, -1.0, 1.0)
     n_phi = 2 * int(order)
     phi = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
     MU, PHI = np.meshgrid(mu, phi, indexing="ij")
     s = np.sqrt(1.0 - MU ** 2)
     normals = np.stack([s * np.cos(PHI), s * np.sin(PHI), MU], axis=-1).reshape(-1, 3)
-    w = (np.outer(wmu, np.full(n_phi, 2.0 * np.pi / n_phi)).ravel()) * radius ** 2
-    return radius * normals, w, normals
+    w = (np.outer(wmu, np.full(n_phi, 2.0 * np.pi / n_phi)).ravel()) * area[..., None]
+    return radius[..., None, None] * normals, w, normals
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +173,7 @@ def _measure_ok(measure: str) -> None:
         raise ValidationError(f"measure must be 'g' or 'euclidean', got '{measure}'")
 
 
-def integrate_face(model: MetricModel, face: geom.FaceId, L: float, f,
+def integrate_face(model: MetricModel, face: geom.FaceId, L, f,
                    measure: str = "g", spec: QuadratureSpec = QuadratureSpec()):
     """Integral of f over one face; f(points, jets) -> values per node.
 
@@ -153,7 +184,7 @@ def integrate_face(model: MetricModel, face: geom.FaceId, L: float, f,
     return integrate_sample(face, face_sample(model, face, L, spec), f, measure)
 
 
-def face_sample(model: MetricModel, face: geom.FaceId, L: float, spec: QuadratureSpec):
+def face_sample(model: MetricModel, face: geom.FaceId, L, spec: QuadratureSpec):
     """Nodes, weights and metric jet of one face: the one face layout."""
     require_cube(model, L)
     pts, w = face_points(face, L, spec)
@@ -166,23 +197,29 @@ def integrate_sample(face: geom.FaceId, sample, f, measure: str):
     vals = np.asarray(f(pts, jets), dtype=float)
     if measure == "g":
         vals = vals * geom.area_density(jets, face.axis)
-    total = np.sum(w * vals, axis=-1)
-    return float(total) if total.ndim == 0 else total
+    return per_rung(np.sum(w * vals, axis=-1))
 
 
-def edge_sample(model: MetricModel, L: float, spec: QuadratureSpec,
+def per_rung(x):
+    """x as a float at one half-side, or as an array over a ladder's rungs
+    (and over an integrand's rows)."""
+    return float(x) if np.ndim(x) == 0 else np.asarray(x)
+
+
+def edge_sample(model: MetricModel, L, spec: QuadratureSpec,
                 edges=geom.EDGES) -> list:
     """Nodes, weights and metric jet of each listed edge, in order: the one edge
     layout.  Each edge's jet is a slice of one jet of all their nodes."""
     require_cube(model, L)
     layouts = [edge_points(edge, L, spec) for edge in edges]
-    jets = metric_jet(model, np.concatenate([pts for pts, _ in layouts]), order=1)
-    n = spec.order
-    return [(pts, w, jets[k * n:(k + 1) * n]) for k, (pts, w) in enumerate(layouts)]
+    jets = metric_jet(model, np.concatenate([pts for pts, _ in layouts], axis=-2), order=1)
+    n, rungs = spec.order, (slice(None),) * np.ndim(L)
+    return [(pts, w, jets[rungs + (slice(k * n, (k + 1) * n),)])
+            for k, (pts, w) in enumerate(layouts)]
 
 
-def integrate_edges(model: MetricModel, L: float, f, measure: str = "g",
-                    spec: QuadratureSpec = QuadratureSpec()) -> float:
+def integrate_edges(model: MetricModel, L, f, measure: str = "g",
+                    spec: QuadratureSpec = QuadratureSpec()):
     """Sum of integrals over the 12 cube edges, each counted once.
 
     f(points, jets, edge) -> values per node.  Any double counting a
@@ -205,13 +242,13 @@ def integrate_edge(model: MetricModel, edge: geom.EdgeId, L: float, f,
     return _edge_integral(edge, sample, f, measure)
 
 
-def _edge_integral(edge: geom.EdgeId, sample, f, measure: str) -> float:
+def _edge_integral(edge: geom.EdgeId, sample, f, measure: str):
     pts, w, jets = sample
     vals = np.asarray(f(pts, jets, edge), dtype=float)
     if measure == "g":
         k = edge.direction
         vals = vals * np.sqrt(jets.g[..., k, k])
-    return float(np.sum(w * vals))
+    return per_rung(np.sum(w * vals, axis=-1))
 
 
 def integrate_slice_curve(model: MetricModel, axis: int, t: float, L: float, f,

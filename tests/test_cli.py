@@ -300,6 +300,32 @@ def test_cube_whose_squared_radius_overflows_is_numeric_failure(capsys, name):
     assert out == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--metric", "pullback", "--method", "adm-sphere", "--L", "1e155"),
+    # the reference sphere sits at 10 * 2e153, beyond the last rung's corners
+    ("converge", "--metric", "conformal", "--tau", "0.75", "--method", "adm",
+     "--Ls", "2.5e152,5e152,1e153,2e153"),
+], ids=["estimate", "converge"])
+def test_sphere_whose_squared_radius_overflows_is_numeric_failure(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert err == "numeric failure: the radius of a sample point is not finite\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("Ls, message", [
+    ("3,50,100,200", "cube half-side 3.0 is below 2*inner_radius = 4.0"),
+    ("25,50,100,1e155", "the radius of a sample point is not finite"),
+], ids=["small_first_rung", "overflowing_last_rung"])
+def test_converge_names_the_failing_rung(capsys, Ls, message):
+    code, out, err = run_cli(capsys, "converge", "--metric", "pullback", "--tau", "0.75",
+                             "--method", "gromov", "--Ls", Ls)
+    assert code == 3
+    assert err == f"numeric failure: {message}\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("radius", ["0.5", "nan"])
 def test_sphere_outside_chart_is_numeric_failure(capsys, radius):
     # schwarzschild has inner_radius 1, like the cube case --method adm --L 1.5

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cubemass import converge, metric
+from cubemass import converge, mass, metric
 from cubemass.errors import DegenerateFit, InsufficientPoints, ValidationError
 from cubemass.quad import QuadratureSpec
 
@@ -127,3 +127,10 @@ def test_csv_rendering():
     L, est, err = lines[1].split(",")
     assert float(L) == 25.0
     assert abs(float(est) - report.ladder[0][1]) == 0.0
+
+
+def test_composed_ladder_rungs_are_the_single_estimates():
+    model, Ls = metric.composed_model(), [25.0, 50.0, 100.0, 200.0]
+    report = converge.run_ladder(model, "gromov_cube", Ls, QuadratureSpec(8))
+    assert report.ladder == [(L, mass.estimate(model, "gromov_cube", L, QuadratureSpec(8)).value)
+                             for L in Ls]

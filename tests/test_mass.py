@@ -296,8 +296,9 @@ def test_bkks_evaluates_each_face_once(monkeypatch, model, axis):
     assert est.breakdown["correction_term"] == plus - minus
 
 
-@pytest.mark.parametrize("method", ["gauss_bonnet_slices", "bkks_direction"])
-def test_slice_estimators_hold_one_jet_at_a_time(monkeypatch, method):
+def _tracking_jets(monkeypatch):
+    """Per metric_jet call made through quad or mass, how many earlier jets
+    are still alive when it starts."""
     refs, alive = [], []
 
     def tracking_jet(model, points, order=2):
@@ -308,6 +309,12 @@ def test_slice_estimators_hold_one_jet_at_a_time(monkeypatch, method):
 
     for module in (quad, mass):
         monkeypatch.setattr(module, "metric_jet", tracking_jet)
+    return alive
+
+
+@pytest.mark.parametrize("method", ["gauss_bonnet_slices", "bkks_direction"])
+def test_slice_estimators_hold_one_jet_at_a_time(monkeypatch, method):
+    alive = _tracking_jets(monkeypatch)
     mass.estimate(SCH, method, 30.0, QuadratureSpec(4), axis=1)
     # each face's jet is dropped before the next face's (or the corners') is built
     assert alive == [0] * 7
@@ -548,3 +555,62 @@ def test_every_value_is_the_documented_breakdown_combination():
     assert gb.value == pytest.approx(combo, abs=1e-12 * max(1.0, abs(gb.value)))
     bs = mass.bartnik_sum_mass(model, L, SPEC)
     assert bs.value == bs.breakdown["gradient_flux_term"] / (16 * math.pi)
+
+
+# ---------------------------------------------------------------------------
+# ladders: the rungs share one walk of the boundary
+# ---------------------------------------------------------------------------
+
+_LADDER_MODELS = {"flat": FLAT, "schwarzschild": SCH,
+                  "pullback": metric.pullback_model(0.75), "composed": metric.composed_model()}
+_LADDER_METHODS = ([(method, None, "euclidean") for method in mass.METHODS
+                    if method != "bkks_direction"]
+                   + [("bkks_direction", axis, "euclidean") for axis in range(3)]
+                   + [("adm_cube", None, "g")])
+
+
+@pytest.mark.parametrize("name", sorted(_LADDER_MODELS))
+@pytest.mark.parametrize("method, axis, measure", _LADDER_METHODS,
+                         ids=[f"{m}-{a}-{s}" for m, a, s in _LADDER_METHODS])
+def test_a_ladder_equals_its_rungs(name, method, axis, measure):
+    model, spec, Ls = _LADDER_MODELS[name], QuadratureSpec(4), [20.0, 40.0, 80.0, 160.0]
+    ladder = mass.estimate_ladder(model, method, Ls, spec, axis=axis, measure=measure)
+    assert len(ladder) == len(Ls)
+    for L, rung in zip(Ls, ladder):
+        alone = mass.estimate(model, method, L, spec, axis=axis, measure=measure)
+        # repr holds every float to the last bit and the sign of zero
+        assert repr(rung) == repr(alone)
+
+
+# one jet per face and one for the edges, whatever the number of rungs
+@pytest.mark.parametrize("rungs", [1, 2, 4])
+@pytest.mark.parametrize("method, edge_nodes", [
+    ("adm_cube", []), ("adm_sphere", None), ("gromov_cube", [12]),
+    ("gauss_bonnet_slices", [12]), ("bkks_direction", [4]), ("bartnik_sum", [])])
+def test_a_ladder_makes_one_jet_call_per_face(monkeypatch, rungs, method, edge_nodes):
+    n = 4
+    sizes = _counting_jets(monkeypatch)
+    mass.estimate_ladder(SCH, method, [20.0 * 2 ** k for k in range(rungs)],
+                         QuadratureSpec(n), axis=1)
+    if edge_nodes is None:  # the sphere rule of order n holds 2 n^2 nodes
+        assert sizes == [rungs * 2 * n * n]
+    else:
+        assert sizes == [rungs * n * n] * 6 + [rungs * e * n for e in edge_nodes]
+
+
+@pytest.mark.parametrize("method", ["gauss_bonnet_slices", "bkks_direction"])
+def test_ladder_slice_estimators_hold_one_jet_at_a_time(monkeypatch, method):
+    alive = _tracking_jets(monkeypatch)
+    mass.estimate_ladder(SCH, method, [30.0, 60.0, 120.0], QuadratureSpec(4), axis=1)
+    assert alive == [0] * 7
+
+
+def test_a_ladder_raises_the_error_of_its_first_failing_rung():
+    # exp(r - 700) overflows on the L = 2000 cube, and the last rung is not
+    # finite: estimated one by one, the 2000 rung fails first
+    factor = "1 + exp(r - 700)"
+    model = metric.expression_model({"g11": factor, "g12": "0", "g13": "0",
+                                     "g22": factor, "g23": "0", "g33": factor},
+                                    tau=1.0, inner_radius=0.0)
+    with pytest.raises(DomainError, match="metric jet is not finite"):
+        mass.estimate_ladder(model, "adm_cube", [100.0, 2000.0, math.inf], QuadratureSpec(4))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cubemass import geom, metric, quad
-from cubemass.errors import BadInterval, OutsideDomain, ValidationError
+from cubemass.errors import BadInterval, DomainError, OutsideDomain, ValidationError
 from cubemass.quad import QuadratureSpec, gauss_nodes
 
 FLAT = metric.flat_model()
@@ -252,3 +252,42 @@ def test_cube_size_must_clear_inner_radius():
 def test_measure_validation():
     with pytest.raises(ValidationError):
         quad.integrate_face(FLAT, geom.FaceId(0, 1), 5.0, one, "lebesgue", SMALL)
+
+
+# ---------------------------------------------------------------------------
+# ladders of half-sides
+# ---------------------------------------------------------------------------
+
+def test_layouts_stack_rungs_on_a_leading_axis():
+    spec, Ls = QuadratureSpec(5), np.array([3.0, 7.5, 1e10])
+    layouts = [lambda L: quad.face_points(geom.FaceId(1, -1), L, spec),
+               lambda L: quad.edge_points(geom.EdgeId(0, 2, 1, -1), L, spec),
+               lambda L: quad.sphere_points(L, 5)[:2]]
+    for layout in layouts:
+        pts, w = layout(Ls)
+        for k, L in enumerate(Ls):
+            alone_pts, alone_w = layout(float(L))
+            assert pts[k].tobytes() == alone_pts.tobytes()
+            assert w[k].tobytes() == alone_w.tobytes()
+
+
+def test_cube_checks_name_the_first_bad_rung():
+    model = metric.schwarzschild_model(1.0)
+    with pytest.raises(OutsideDomain, match="got inf"):
+        quad.require_cube(model, [10.0, math.inf, 0.5])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sphere_whose_squared_radius_overflows_is_rejected():
+    with pytest.raises(DomainError, match="radius of a sample point is not finite"):
+        quad.sphere_points(np.array([10.0, 1e155]), 4)
+
+
+def test_sphere_weights_absorb_the_radius_squared_as_a_python_float():
+    # a Python float's ** 2 is libm's pow, which differs from r * r in the
+    # last bit for some r (716.74 with glibc): each rung squares its radius so
+    r, order = 716.74, 4
+    _, wmu = gauss_nodes(order, -1.0, 1.0)
+    reference = np.outer(wmu, np.full(2 * order, 2.0 * np.pi / (2 * order))).ravel() * r ** 2
+    _, w, _ = quad.sphere_points(np.array([25.0, r]), order)
+    assert w[1].tobytes() == reference.tobytes()
