@@ -6,9 +6,10 @@ gradient norms and Laplacians, level-set Gauss curvature) are computed
 exactly from the pointwise jet ``(g, dg, ddg)``.  The large-cube
 expansions the mass formulas rest on are verified by tests against these
 exact values; they are never used as the computation itself.  The
-inverse metric, its derivative, the Christoffel symbols and the
-curvature tensors are cached on the :class:`MetricJet2`, so each is
-computed once per jet.
+inverse metric, the Christoffel symbols and the curvature tensors are
+cached on the :class:`MetricJet2`, so each is computed once per jet.
+The derivative of the inverse metric is computed and cached per row:
+a face and a coordinate gradient read the row of their own axis alone.
 
 Functions broadcast over a leading batch of points, so a whole
 quadrature panel is one call.
@@ -170,12 +171,13 @@ def face_frame(jet: MetricJet2, face: FaceId, points) -> FaceFrame:
     flat round sphere has H = +2/rho under this convention, so cube
     faces in a positive-mass metric come out slightly negative.
     """
-    ginv, dginv, dg = jet.ginv, jet.dginv, jet.dg
+    ginv, dg = jet.ginv, jet.dg
     i, s = face.axis, face.sign
+    row = jet.dginv_row(i)  # row[..., m, b] = d_m g^ib
     w = np.sqrt(ginv[..., i, i])
     nu = face_normal(jet, face)
-    dw = dginv[..., :, i, i] / (2.0 * w[..., None])
-    div_flat = s * (np.einsum("...aa->...", dginv[..., :, i, :]) / w
+    dw = row[..., :, i] / (2.0 * w[..., None])
+    div_flat = s * (np.einsum("...aa->...", row) / w
                     - np.einsum("...a,...a->...", ginv[..., i, :], dw) / (w * w))
     dlog_sqrtg = 0.5 * np.einsum("...ab,...mab->...m", ginv, dg)
     H = div_flat + np.einsum("...a,...a->...", nu, dlog_sqrtg)
@@ -287,7 +289,7 @@ def turning_angles(corner_jets: Sequence[MetricJet2], axis: int,
 def coordinate_gradient_norm(jet: MetricJet2, axis: int):
     """|grad x^axis| = sqrt(g^kk) and its coordinate gradient, exact from d g^kk."""
     norm = np.sqrt(jet.ginv[..., axis, axis])
-    return norm, jet.dginv[..., :, axis, axis] / (2.0 * norm[..., None])
+    return norm, jet.dginv_row(axis)[..., :, axis] / (2.0 * norm[..., None])
 
 
 def coordinate_gradient_jet(jet: MetricJet2, axis: int):

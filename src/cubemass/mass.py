@@ -110,13 +110,17 @@ def adm_flux_cube(model: MetricModel, L,
 
 def adm_flux_sphere(model: MetricModel, radius,
                     angular_order: int = 64) -> MassEstimate:
-    """Same flux over a coordinate sphere; the cross-estimator reference."""
+    """Same flux over a coordinate sphere; the cross-estimator reference.
+
+    ``angular_order`` is the Gauss rule's node count in cos(theta), at
+    least 2 like every ``QuadratureSpec`` order, and the report's label."""
+    spec = QuadratureSpec(angular_order)
     for r in np.ravel(radius):
         r = float(r)
         if not (math.isfinite(r) and r > 0.0 and r >= model.inner_radius):
             raise OutsideDomain(f"sphere radius {r} must be finite, positive and at "
                                 f"least inner_radius = {model.inner_radius}")
-    pts, w, normals = quad.sphere_points(radius, angular_order)
+    pts, w, normals = quad.sphere_points(radius, spec.order)
     jets = metric_jet(model, pts, order=1)
     vals = 0.0
     for k in range(3):
@@ -126,8 +130,7 @@ def adm_flux_sphere(model: MetricModel, radius,
         vals = vals + inner * normals[:, k]
     total = np.sum(w * vals, axis=-1)
     return _estimate("adm_sphere", radius, total / (16.0 * math.pi), {"face_term": total},
-                     QuadratureSpec(max(2, int(angular_order))),
-                     "euclidean+coordinate-normal")
+                     spec, "euclidean+coordinate-normal")
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +144,23 @@ def _face_H(face: geom.FaceId):
 
 
 def _edge_deficit(points, jets, edge):
-    frame = geom.edge_frame(jets, edge, points)
-    return 0.5 * math.pi - frame.theta
+    """pi/2 - theta for the angle theta between the two faces' outward
+    normals, as asin(cos theta) = asin(s_a s_b g^ab / sqrt(g^aa g^bb)).
+
+    Formed from the small g^ab itself, it keeps its relative precision at
+    any L, where pi/2 - theta would carry an absolute round-off of eps."""
+    ginv, a, b = jets.ginv, edge.axis_a, edge.axis_b
+    return np.arcsin(edge.sign_a * edge.sign_b * ginv[..., a, b]
+                     / np.sqrt(ginv[..., a, a] * ginv[..., b, b]))
+
+
+def _corner_deficit(jets, edge):
+    """pi/2 - beta for the turning angle beta of a slice square at its corner
+    on edge, traversed as ``geom.turning_angles`` does: asin(cos beta) with
+    cos beta = -s_a s_b g_ab / sqrt(g_aa g_bb), small like the edge deficit."""
+    g, a, b = jets.g, edge.axis_a, edge.axis_b
+    return np.arcsin(-edge.sign_a * edge.sign_b * g[..., a, b]
+                     / np.sqrt(g[..., a, a] * g[..., b, b]))
 
 
 def gromov_cube_mass(model: MetricModel, L,
@@ -151,7 +169,8 @@ def gromov_cube_mass(model: MetricModel, L,
 
     The dihedral-angle form of the edge term, (alpha - pi/2) with
     alpha = pi - theta, is symbolically identical to (pi/2 - theta), so
-    both reported forms come from one computation and agree bitwise.
+    both reported forms come from one computation (``_edge_deficit``) and
+    agree bitwise.
     """
     face_term = 0.0
     for face in geom.FACES:
@@ -245,17 +264,14 @@ def _face_kappa(face, sample, axes, wt):
 def _slice_defects(model, axes, L, spec, kappa):
     """The slice defect 2 pi - beta(t) - Int kappa ds at each level t, one
     row per axis in axes, from the summed ``_face_kappa`` rows.  The levels
-    are the edge nodes: beta reads the corners on one ``quad.edge_sample`` of
-    the four edges parallel to each axis, in ``geom.turning_angles``' order."""
+    are the edge nodes: the corners are one ``quad.edge_sample`` of the four
+    edges parallel to each axis, and 2 pi - beta is the sum of their four
+    small deficits pi/2 - beta_c (``_corner_deficit``)."""
     edges = [geom.EdgeId(*(a for a in range(3) if a != axis), si, sj)
              for axis in axes for si, sj in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
-    corners = quad.edge_sample(model, L, spec, edges)
-    beta = np.stack([geom.turning_angles([jets for _, _, jets in corners[4 * k:4 * k + 4]],
-                                         axis, corners[4 * k][0][..., axis]).beta_total
-                     for k, axis in enumerate(axes)])
-    # combine per level before the t-sum: the three terms are O(L) each
-    # while the defect is O(m), so summing them separately loses digits
-    return 2.0 * math.pi - beta - kappa
+    deficits = [_corner_deficit(jets, edge)
+                for edge, (_, _, jets) in zip(edges, quad.edge_sample(model, L, spec, edges))]
+    return np.stack([sum(deficits[4 * k:4 * k + 4]) for k in range(len(axes))]) - kappa
 
 
 def gauss_bonnet_slice_mass(model: MetricModel, L,

@@ -4,9 +4,9 @@ Every model produces, at any chart point, the metric components together
 with their exact first and second coordinate derivatives (a
 :class:`MetricJet2`).  ``metric_jet(model, points, order=1)`` asks for
 the first derivatives alone: the cube estimators read only ``g`` and
-``dg`` (and ``ginv``, ``dginv`` and the Christoffels made from them), so
-they evaluate first-order jets, and the jet program then skips every
-Hessian.  ``g`` and ``dg`` are bitwise those of the full jet.
+``dg`` (and ``ginv``, rows of ``dginv`` and the Christoffels made from
+them), so they evaluate first-order jets, and the jet program then skips
+every Hessian.  ``g`` and ``dg`` are bitwise those of the full jet.
 Model kinds:
 
 ``flat``
@@ -70,6 +70,11 @@ class MetricJet2:
     what the cube estimators evaluate) has neither, and reading ``ddg``
     or ``curvature`` on it, or on a slice of it, raises
     :class:`NoSecondDerivatives`.
+
+    The derivative of the inverse metric is computed and cached one row
+    at a time: ``dginv_row(a)[..., m, b] = d_m g^ab``.  A face reads only
+    the row of its normal axis, so the estimators never form the 27
+    components of ``dginv``, which stacks the three rows.
     """
 
     def __init__(self, g, dg, ddg=None, *, d2=()):
@@ -91,7 +96,13 @@ class MetricJet2:
 
     @cached_property
     def ginv(self) -> np.ndarray:
-        """Inverse metric, computed once after checking that ``g`` is SPD.
+        """Inverse metric, computed once after checking that ``g`` is SPD."""
+        return _batch_first(self._ginv_rows, 2)
+
+    @cached_property
+    def _ginv_rows(self) -> np.ndarray:
+        """The inverse metric component-major, ``(3, 3, ...)``: the
+        contiguous rows the ``dginv`` rows are summed from.
 
         The check is Sylvester's criterion (all three leading minors
         positive, which also rejects NaN); the inverse is the adjugate
@@ -108,17 +119,30 @@ class MetricJet2:
         det = a * A + b * B + c * C
         if not (np.all(a > 0.0) and np.all(minor2 > 0.0) and np.all(det > 0.0)):
             raise NotPositiveDefinite("metric is not positive definite on the sample")
-        ginv = np.empty(g.shape)
-        ginv[..., 0, 0], ginv[..., 1, 1], ginv[..., 2, 2] = A, a * f - c * c, minor2
-        ginv[..., 0, 1] = ginv[..., 1, 0] = B
-        ginv[..., 0, 2] = ginv[..., 2, 0] = C
-        ginv[..., 1, 2] = ginv[..., 2, 1] = b * c - a * e
-        return ginv / (det / scale)[..., None, None]
+        rows = np.empty((3, 3) + g.shape[:-2])
+        rows[0, 0], rows[1, 1], rows[2, 2] = A, a * f - c * c, minor2
+        rows[0, 1] = rows[1, 0] = B
+        rows[0, 2] = rows[2, 0] = C
+        rows[1, 2] = rows[2, 1] = b * c - a * e
+        rows /= det / scale
+        return rows
+
+    @cached_property
+    def _dg_rows(self) -> np.ndarray:
+        """``dg`` component-major, ``(3, 3, 3, ...)``, laid out once."""
+        return np.ascontiguousarray(np.moveaxis(self.dg, (-3, -2, -1), (0, 1, 2)))
+
+    def dginv_row(self, a: int) -> np.ndarray:
+        """``dginv_row(a)[..., m, b] = d_m g^ab``, computed once per row a."""
+        rows = self.__dict__.setdefault("_dginv_rows", {})
+        if a not in rows:
+            rows[a] = inverse_metric_derivative(self._ginv_rows, self._dg_rows, a)
+        return rows[a]
 
     @cached_property
     def dginv(self) -> np.ndarray:
-        """``dginv[..., m, a, b] = d_m g^ab``, computed once."""
-        return inverse_metric_derivative(self.ginv, self.dg)
+        """``dginv[..., m, a, b] = d_m g^ab``: the three rows, stacked."""
+        return np.stack([self.dginv_row(a) for a in range(3)], axis=-2)
 
     @cached_property
     def christoffel(self) -> np.ndarray:
@@ -156,10 +180,25 @@ class MetricJet2:
         return part
 
 
-def inverse_metric_derivative(ginv, dg):
-    """d_m g^{ab} = -g^{ac} (d_m g_cd) g^{db}, indexed [..., m, a, b]."""
-    up = ginv[..., None, :, :]
-    return -(up @ dg @ up)
+def inverse_metric_derivative(ginv_rows, dg_rows, a: int) -> np.ndarray:
+    """Row a of d_m g^{ab} = -g^{ac} (d_m g_cd) g^{db}, indexed [..., m, b].
+
+    Elementwise sums over the component-major ``ginv_rows[a, b]`` and
+    ``dg_rows[m, a, b]`` (each row a batch array), returned batch-first.
+    """
+    up = ginv_rows[a]
+    lowered = up[0] * dg_rows[:, 0]  # lowered[m, d] = g^ac d_m g_cd
+    lowered += up[1] * dg_rows[:, 1]
+    lowered += up[2] * dg_rows[:, 2]
+    row = lowered[:, 0, None] * ginv_rows[0]
+    row += lowered[:, 1, None] * ginv_rows[1]
+    row += lowered[:, 2, None] * ginv_rows[2]
+    return _batch_first(np.negative(row, out=row), 2)
+
+
+def _batch_first(a, k: int) -> np.ndarray:
+    """C-contiguous copy of a (3 [x k], ...) with its k component axes last."""
+    return np.ascontiguousarray(np.moveaxis(a, range(k), range(-k, 0)))
 
 
 def _lowered_symbol(d):
@@ -225,16 +264,15 @@ def _assemble_components(program: expr.JetProgram, points: np.ndarray,
     jets = program(points, order)
     if any(np.any(U.value <= 0.0) for U in jets[6:]):
         raise NotPositiveDefinite("conformal factor is not positive on the sample")
+    # component-major buffers, the batch-last layout of the jets, then one
+    # transposing copy each to the batch-first g and dg
     batch = points.shape[:-1]
-    g = np.zeros(batch + (3, 3))
-    dg = np.zeros(batch + (3, 3, 3))
-    # batch-last view of the batch-first array, the layout of the jets
-    dg_last = np.moveaxis(dg, (-3, -2, -1), (0, 1, 2))
+    g_rows = np.empty((3, 3) + batch)
+    dg_rows = np.empty((3, 3, 3) + batch)
     for (i, j), jet in zip(_COMPONENT_INDEX, jets):
-        g[..., i, j] = jet.value
-        g[..., j, i] = jet.value
-        dg_last[:, i, j] = jet.d1
-        dg_last[:, j, i] = jet.d1
+        g_rows[i, j] = g_rows[j, i] = jet.value
+        dg_rows[:, i, j] = dg_rows[:, j, i] = jet.d1
+    g, dg = _batch_first(g_rows, 2), _batch_first(dg_rows, 3)
     if order == 1:
         return MetricJet2(g, dg)
     hessians = [np.moveaxis(jet.d2, (0, 1), (-2, -1)) for jet in jets[:6]]

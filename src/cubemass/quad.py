@@ -27,13 +27,11 @@ from .errors import BadInterval, DomainError, OutsideDomain, ValidationError
 from .metric import MetricModel, metric_jet
 
 #: Assumed error scale of the default order, with a wide margin: on the
-#: built-in model families the order-24 rule is within 1.7e-14 of an
-#: order-64 reference at L <= 400, and doubling the order moves the
-#: reported integrals by less than this (asserted by tests).  The
-#: truncation error does not depend on L, but the round-off of the angle
-#: deficits does: 7.5e-11 at L = 1e6.  It is not measured per run.  The
-#: convergence module treats errors below 100x this value as quadrature
-#: floor.
+#: built-in model families the order-24 rule is within 2.4e-15 of an
+#: order-64 reference at L <= 400 and 1.7e-14 at L = 1e6, and doubling
+#: the order moves the reported integrals by less than this (asserted by
+#: tests).  It is not measured per run.  The convergence module treats
+#: errors below 100x this value as quadrature floor.
 DEFAULT_TOLERANCE = 1e-9
 
 

@@ -102,3 +102,21 @@ def random_polynomial(rng, max_degree=4, max_terms=6):
                 break
         coeffs[e] = coeffs.get(e, 0.0) + float(rng.uniform(-3.0, 3.0))
     return Polynomial3(coeffs)
+
+
+def strided_scatter_jet(jets):
+    """g (..., 3, 3) and dg (..., 3, 3, 3) from the scalar jets of g11 ... g33
+    (values (...), gradients (3, ...)), written component by component into
+    zeroed batch-first arrays: the direct scatter, an oracle for the
+    component-major assembly."""
+    index = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+    batch = np.shape(jets[0].value)
+    g = np.zeros(batch + (3, 3))
+    dg = np.zeros(batch + (3, 3, 3))
+    dg_last = np.moveaxis(dg, (-3, -2, -1), (0, 1, 2))
+    for (i, j), jet in zip(index, jets):
+        g[..., i, j] = jet.value
+        g[..., j, i] = jet.value
+        dg_last[:, i, j] = jet.d1
+        dg_last[:, j, i] = jet.d1
+    return g, dg

@@ -485,8 +485,7 @@ def test_coordinate_gradient_laplacian_matches_divergence_form():
     model = metric.pullback_model(tau=0.75)
     pts = np.array([[9.0, 2.0, -5.0], [30.0, 10.0, 3.0]])
     jet = metric_jet(model, pts)
-    ginv, _ = geom.inverse_and_christoffel(jet)
-    dginv = metric.inverse_metric_derivative(ginv, jet.dg)
+    ginv, dginv = jet.ginv, jet.dginv
     dlog = 0.5 * np.einsum("...ab,...mab->...m", ginv, jet.dg)
     for k in range(3):
         _, _, lap = geom.coordinate_gradient_jet(jet, k)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cubemass import geom, mass, metric, quad
-from cubemass.errors import DomainError
+from cubemass.errors import DomainError, ValidationError
 from cubemass.quad import QuadratureSpec
 
 SPEC = QuadratureSpec()
@@ -70,6 +70,14 @@ def test_adm_sphere_flat_and_schwarzschild():
     # closed form: value = m U(rho)^3 = 1 + 1.5e-4 + O(rho^-2)
     assert abs(v - 1.0) < 1e-3
     assert v == pytest.approx((1 + 0.5e-4) ** 3, rel=1e-9)
+
+
+def test_adm_sphere_reports_the_rule_it_integrates_with():
+    est = mass.adm_flux_sphere(SCH, 50.0, angular_order=2)
+    assert est.quadrature == QuadratureSpec(2)
+    # one node in cos(theta) is no rule a report can name: refused, as --order is
+    with pytest.raises(ValidationError, match="order must be an integer >= 2"):
+        mass.adm_flux_sphere(SCH, 50.0, angular_order=1)
 
 
 def test_adm_measure_policies_agree_to_leading_order():
@@ -334,18 +342,37 @@ def test_estimators_read_no_ddg_and_christoffel_only_for_the_laplacian(count_com
 
 # after the 6 face jets: gromov's one jet of 12 edges, bkks's one jet of the
 # 4 edges parallel to its axis
-@pytest.mark.parametrize("estimate, last_jets", [
-    (mass.bartnik_sum_mass, []), (mass.gromov_cube_mass, [12 * 4]),
-    (lambda model, L, spec: mass.bkks_direction_mass(model, L, 1, spec), [4 * 4])],
+@pytest.mark.parametrize("model", [SCH, metric.composed_model()], ids=["sch", "composed"])
+@pytest.mark.parametrize("estimate, face_rows, last_jets", [
+    (mass.bartnik_sum_mass, lambda face: [0, 1, 2], []),
+    (mass.gromov_cube_mass, lambda face: [face.axis], [12 * 4]),
+    (lambda model, L, spec: mass.bkks_direction_mass(model, L, 1, spec), lambda face: [1],
+     [4 * 4])],
     ids=["bartnik_sum", "gromov", "bkks"])
-def test_inverse_metric_derivative_computed_once_per_face_jet(monkeypatch, count_computations,
-                                                              estimate, last_jets):
-    derivatives = count_computations("dginv")
-    jets = _counting_jets(monkeypatch)
-    estimate(SCH, 20.0, QuadratureSpec(4))
-    # every face jet needs d g^-1; the edge and corner jets do not
-    assert len(derivatives) == 6
-    assert jets == [16] * 6 + last_jets
+def test_each_face_jet_computes_the_dginv_rows_it_reads(monkeypatch, count_computations,
+                                                        model, estimate, face_rows, last_jets):
+    full = count_computations("dginv")
+    events = []
+    row_kernel = metric.inverse_metric_derivative
+
+    def counting_row(ginv_rows, dg_rows, a):
+        events.append(("row", a))
+        return row_kernel(ginv_rows, dg_rows, a)
+
+    def counting_jet(model, points, order=2):
+        events.append(("jet", np.asarray(points).size // 3))
+        return metric.metric_jet(model, points, order)
+
+    monkeypatch.setattr(metric, "inverse_metric_derivative", counting_row)
+    for module in (quad, mass):
+        monkeypatch.setattr(module, "metric_jet", counting_jet)
+    estimate(model, 20.0, QuadratureSpec(4))
+    # each face jet computes the rows of d g^-1 its integrand reads, once
+    # each; the edge and corner jets compute none, and no jet all 27 components
+    expected = [event for face in geom.FACES
+                for event in [("jet", 16)] + [("row", a) for a in face_rows(face)]]
+    assert events == expected + [("jet", n) for n in last_jets]
+    assert full == []
 
 
 # face jets of order 4 hold 16 nodes; the sphere rule of order 4 holds 32
@@ -401,6 +428,21 @@ def test_slice_term_rejects_small_cube():
     from cubemass.errors import OutsideDomain
     with pytest.raises(OutsideDomain):
         mass.gauss_bonnet_slice_mass(SCH, 1.5, SPEC)
+
+
+# pullback's exact mass is 0 and its error falls like L^-(2 tau - 1); an
+# angle deficit formed as pi/2 - theta or 2 pi - sum(beta) carried an
+# absolute round-off of eps per node instead, which swamped the trend
+# beyond L ~ 1e8 (gromov read -9.5e-5 at L = 1e12 against -2.9e-9)
+@pytest.mark.parametrize("method, axis", [("gromov_cube", None),
+                                          ("gauss_bonnet_slices", None),
+                                          ("bkks_direction", 0)])
+def test_angle_deficits_keep_the_error_trend_to_huge_cubes(method, axis):
+    model = metric.pullback_model(tau=0.75)
+    Ls = (1e4, 1e8, 1e10, 1e12)
+    ests = mass.estimate_ladder(model, method, Ls, QuadratureSpec(24), axis)
+    scaled = [est.value * L ** (2.0 * model.tau - 1.0) for est, L in zip(ests, Ls)]
+    assert all(abs(v / scaled[0] - 1.0) < 1e-3 for v in scaled[1:]), scaled
 
 
 def test_gauss_bonnet_schwarzschild():

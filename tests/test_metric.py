@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import strided_scatter_jet
 from cubemass import expr, metric
 from cubemass.errors import (DomainError, NoSecondDerivatives, NotPositiveDefinite,
                              OutsideDomain, ValidationError)
@@ -224,6 +225,34 @@ def test_first_order_jet_equals_the_second_order_one(name):
     first, second = (metric.metric_jet(model, pts, order) for order in (1, 2))
     for attr in ("g", "dg", "ginv", "dginv", "christoffel"):
         assert getattr(first, attr).tobytes() == getattr(second, attr).tobytes(), attr
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("name", sorted(ALL_MODELS) + ["flat"])
+def test_assembly_equals_the_strided_scatter(name, order):
+    model = metric.flat_model() if name == "flat" else ALL_MODELS[name]()
+    pts = np.random.default_rng(13).uniform(3.0, 40.0, size=(4, 6, 3))
+    g, dg = strided_scatter_jet(model.program(pts, order)[:6])
+    jet = metric._assemble_components(model.program, pts, order)
+    for new, old in ((jet.g, g), (jet.dg, dg)):
+        assert new.flags.c_contiguous and new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("name", sorted(ALL_MODELS) + ["flat"])
+def test_dginv_rows_are_its_slices_and_match_the_einsum(name, order):
+    model = metric.flat_model() if name == "flat" else ALL_MODELS[name]()
+    pts = np.random.default_rng(17).uniform(3.0, 40.0, size=(5, 7, 3))
+    jet = metric.metric_jet(model, pts, order)
+    rows = [jet.dginv_row(a) for a in range(3)]
+    assert all(jet.dginv_row(a) is rows[a] for a in range(3))  # computed once
+    reference = _reference_dginv(jet.ginv, jet.dg)
+    scale = _point_max(reference, 3)
+    for a, row in enumerate(rows):
+        assert row.shape == pts.shape[:-1] + (3, 3)
+        assert row.tobytes() == jet.dginv[..., :, a, :].tobytes()
+        _assert_point_close(row, reference[..., :, a, :], 2, scale, rtol=1e-15)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_MODELS) + ["flat"])
